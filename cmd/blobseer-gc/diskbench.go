@@ -181,7 +181,7 @@ func runDiskBench(providers, chunks, sweepChunks int, out string) error {
 func runDiskSweepBench(root string, providers, chunks int) (*sweepB, error) {
 	var storeErr error
 	c, err := core.NewCluster(core.Options{
-		Providers: providers, Monitoring: false, GCGraceEpochs: -1,
+		Providers: providers, Monitoring: false,
 		ProviderStore: func(id string) provider.Store {
 			ds, err := diskstore.Open(filepath.Join(root, "sweep-"+id), diskstore.Options{})
 			if err != nil && storeErr == nil {

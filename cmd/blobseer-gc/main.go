@@ -176,7 +176,7 @@ func runRunner(providers int, interval time.Duration, metricsListen string) erro
 // each stage's report.
 func runDemo(providers int, dryRun bool) error {
 	c, err := core.NewCluster(core.Options{
-		Providers: providers, Monitoring: false, GCGraceEpochs: -1,
+		Providers: providers, Monitoring: false,
 	})
 	if err != nil {
 		return err
@@ -238,8 +238,8 @@ func runDemo(providers int, dryRun bool) error {
 	if dryRun {
 		mode = "sweep (dry-run)"
 	}
-	fmt.Printf("%s: %d providers, scanned %d, live %d, in-grace %d, swept %d (%d bytes)\n",
-		mode, rep.Providers, rep.Scanned, rep.Live, rep.InGrace, rep.Swept, rep.SweptBytes)
+	fmt.Printf("%s: %d providers, scanned %d, live %d, leased %d, swept %d (%d bytes)\n",
+		mode, rep.Providers, rep.Scanned, rep.Live, rep.Leased, rep.Swept, rep.SweptBytes)
 	fmt.Printf("%s nodes: scanned %d, live %d, kept %d, swept %d (metadata store holds %d)\n",
 		mode, rep.NodesScanned, rep.NodesLive, rep.NodesKept, rep.NodesSwept, c.VM.MetaStore().Len())
 	st := c.GC.Stats()
@@ -323,7 +323,7 @@ func runObsBench(providers, chunks int) (*obsB, error) {
 	live := chunks / 2
 	measure := func(reg *metrics.Registry) (float64, error) {
 		c, err := core.NewCluster(core.Options{
-			Providers: providers, Monitoring: false, GCGraceEpochs: -1, Metrics: reg,
+			Providers: providers, Monitoring: false, Metrics: reg,
 		})
 		if err != nil {
 			return 0, err
@@ -390,7 +390,7 @@ func runObsBench(providers, chunks int) (*obsB, error) {
 // the pair of numbers the off-critical-path GC design is judged on.
 func runLargeBench(providers, chunks int) (*sweepB, *latB, error) {
 	c, err := core.NewCluster(core.Options{
-		Providers: providers, Monitoring: false, GCGraceEpochs: -1,
+		Providers: providers, Monitoring: false,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -502,7 +502,7 @@ func runMarkBench(providers, liveChunks, versions int) (*markB, error) {
 		reps      = 3
 	)
 	c, err := core.NewCluster(core.Options{
-		Providers: providers, Monitoring: false, GCGraceEpochs: -1,
+		Providers: providers, Monitoring: false,
 	})
 	if err != nil {
 		return nil, err
@@ -723,7 +723,7 @@ func runBench(providers, chunks, large, markChunks, markVersions int, out string
 	baseline := readBaseline(out)
 	const chunkSize = 4 << 10
 	c, err := core.NewCluster(core.Options{
-		Providers: providers, Monitoring: false, GCGraceEpochs: -1,
+		Providers: providers, Monitoring: false,
 	})
 	if err != nil {
 		return err

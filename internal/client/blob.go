@@ -571,25 +571,6 @@ func (w *BlobWriter) heartbeat() {
 	}
 }
 
-// releaseLease drops the provider chunk leases and the lifecycle
-// record. Best effort on a fresh context: the writer's own context is
-// already cancelled by the time release runs (abandon paths arrive
-// cancelled by design), and any lease a dead provider kept is reaped by
-// TTL expiry at the next sweep.
-func (w *BlobWriter) releaseLease() {
-	ctx := context.Background() //ctxfirst:allow release must outlive the writer's cancelled context; unreachable leases fall to TTL reaping
-	for _, pid := range w.lref.providers() {
-		conn, err := w.c.dir.Lookup(ctx, pid)
-		if err != nil {
-			continue
-		}
-		if cl, ok := conn.(ChunkLeaser); ok {
-			_ = cl.ReleaseLease(ctx, w.lref.id)
-		}
-	}
-	w.lease.Release()
-}
-
 // Version returns the published version; valid after a successful Close.
 func (w *BlobWriter) Version() uint64 {
 	w.mu.Lock()
@@ -866,9 +847,10 @@ func (w *BlobWriter) Close() error {
 	if w.lease != nil {
 		// Published or aborted, the lease's job is done. Cancel first —
 		// idempotent — so the heartbeat cannot renew what is being
-		// released, then drop the chunk leases and the base hold.
+		// released. The release must outlive that cancellation (abandon
+		// paths arrive cancelled by design), so it runs detached from it.
 		w.cancel()
-		w.releaseLease()
+		w.lease.Release(context.WithoutCancel(w.ctx), w.lref.providers())
 	}
 
 	if m := w.c.m; m != nil && w.total > 0 {

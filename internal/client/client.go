@@ -55,11 +55,12 @@ type BufferedFetcher interface {
 
 // ChunkLeaser is an optional Conn extension: register chunk IDs under a
 // writer lease at the provider before storing them, renew with nil ids,
-// and release when the writer finishes. Both the in-process provider
-// plane and the RPC plane implement it; while a lease is live the
-// provider's wholesale purge and the GC's victim classification skip
-// its chunks. A Conn without the extension simply stores unleased — the
-// grace window is then the only protection, as before leases existed.
+// and release a lease. Both the in-process provider plane and the RPC
+// plane implement it; until a lease is released the provider's
+// wholesale purge and the GC's victim classification skip its chunks.
+// The writer registers and renews; the release is the Lease's (see
+// Lease.Release). A Conn without the extension simply stores unleased,
+// and its unpublished chunks have no protection from the sweep.
 type ChunkLeaser interface {
 	LeaseChunks(ctx context.Context, leaseID string, ttl time.Duration, ids []chunk.ID) error
 	ReleaseLease(ctx context.Context, leaseID string) error
@@ -110,13 +111,14 @@ const DefaultLeaseTTL = 30 * time.Second
 // minted by a Leaser at NewWriter time. Its ID also names the chunk
 // leases the writer registers at each provider (ChunkLeaser), so one
 // identity protects the base version and the flushed chunks. Renew
-// pushes the expiry out (heartbeat); Release ends the lease and must be
-// called on every writer exit path — a lease that is never released
-// lives until its TTL lapses and the next sweep reaps it.
+// pushes the expiry out (heartbeat); Release ends the lease — the base
+// hold and the chunk leases at the providers the writer leased chunks
+// at — and must be called on every writer exit path. A lease that is
+// never released lives until its TTL lapses and the next sweep reaps it.
 type Lease interface {
 	ID() string
 	Renew()
-	Release()
+	Release(ctx context.Context, providers []string)
 }
 
 // Leaser mints writer leases: called by NewWriter with the writer's
@@ -188,8 +190,8 @@ func WithPinner(p Pinner) Option {
 // WithLeaser installs the writer-lease hook: every BlobWriter the
 // client mints registers a lease at open, leases each flushed chunk at
 // its providers, heartbeats while streaming, and releases at
-// Close/abandon (default: no leasing; the GC grace window is then the
-// only writer protection).
+// Close/abandon (default: no leasing, so nothing protects an
+// unpublished writer's chunks from a concurrent sweep).
 func WithLeaser(l Leaser) Option {
 	return func(c *Client) { c.leaser = l }
 }

@@ -54,12 +54,11 @@ type Options struct {
 	Clock            func() time.Time
 	Elasticity       *selfconfig.Config // enable the elasticity controller
 	BaseDegree       int                // replication maintenance target (default = Replicas)
-	GCGraceEpochs    int                // sweep write-in-progress grace window (0 = default 1, -1 = none)
 	WriterLeaseTTL   time.Duration      // writer-lease lifetime without heartbeat (0 = default 30s)
 	// NoWriterLeases disables writer leasing entirely: writers register
-	// nothing and the GC grace window is the only write-in-progress
-	// protection, as before leases existed. Test-only — it reopens the
-	// reclaim-vs-writer races the leases close.
+	// nothing, so nothing protects an unpublished writer's chunks from
+	// a concurrent sweep. Test-only — it reopens the reclaim-vs-writer
+	// races the leases close.
 	NoWriterLeases bool
 	// ProviderStore mints the backing chunk store for each new provider
 	// (nil, or a nil return, = the in-memory MemStore). It is the seam
@@ -218,15 +217,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 
 	// Storage lifecycle: every deletion routes through it, every reader
 	// pins through it.
-	grace := 1
-	switch {
-	case opts.GCGraceEpochs > 0:
-		grace = opts.GCGraceEpochs
-	case opts.GCGraceEpochs < 0:
-		grace = 0
-	}
 	gcOpts := []gc.Option{
-		gc.WithGraceEpochs(grace),
 		gc.WithEmitter(c.agentFor("gc")),
 		gc.WithClock(c.now),
 		gc.WithMetrics(opts.Metrics),
@@ -485,14 +476,6 @@ func (a poolAdapter) Store(ctx context.Context, id string, ch chunk.ID, data []b
 	return p.Store(ctx, "selfopt", ch, data)
 }
 
-func (a poolAdapter) Remove(ctx context.Context, id string, ch chunk.ID) error {
-	p, ok := a.c.Provider(id)
-	if !ok {
-		return fmt.Errorf("core: no provider %s", id)
-	}
-	return p.Remove(ctx, ch)
-}
-
 func (a poolAdapter) Alive(id string) bool {
 	p, ok := a.c.Provider(id)
 	if !ok || p.Stopped() {
@@ -502,9 +485,6 @@ func (a poolAdapter) Alive(id string) bool {
 	// provider — that only manufactures more degraded replicas.
 	return a.c.Fault == nil || a.c.Fault.Healthy(id)
 }
-
-// Pool exposes the cluster's providers as a selfopt.Pool (for reapers).
-func (c *Cluster) Pool() selfopt.Pool { return poolAdapter{c} }
 
 // gcProviders exposes the cluster's providers as the lifecycle
 // manager's sweep surface. Only live providers are swept: a stopped
@@ -530,24 +510,12 @@ func (a gcProviders) Purge(ctx context.Context, id string, ids []chunk.ID) (int,
 	return p.PurgeChunks(ctx, ids)
 }
 
-func (a gcProviders) AdvanceEpoch(_ context.Context, id string) (uint64, error) {
-	p, ok := a.c.Provider(id)
-	if !ok {
-		return 0, fmt.Errorf("core: no provider %s", id)
-	}
-	return p.AdvanceEpoch()
-}
-
-func (a gcProviders) Epoch(_ context.Context, id string) (uint64, error) {
-	p, ok := a.c.Provider(id)
-	if !ok {
-		return 0, fmt.Errorf("core: no provider %s", id)
-	}
-	return p.Epoch()
-}
-
 func (a gcProviders) Remove(ctx context.Context, id string, ch chunk.ID) error {
-	return poolAdapter{a.c}.Remove(ctx, id, ch)
+	p, ok := a.c.Provider(id)
+	if !ok {
+		return fmt.Errorf("core: no provider %s", id)
+	}
+	return p.Remove(ctx, ch)
 }
 
 func (a gcProviders) Leases(ctx context.Context, id string) ([]provider.LeaseInfo, error) {
@@ -591,9 +559,7 @@ func (c *Cluster) GCRunner(interval time.Duration) *gc.Runner {
 // through the cluster's lifecycle manager, so reader pins are honoured
 // and healed BLOBs reclaim exactly.
 func (c *Cluster) NewReaper(strategies ...selfopt.Strategy) *selfopt.Reaper {
-	r := selfopt.NewReaper(c.VM, c.Pool(), c.agentFor("reaper"), strategies...)
-	r.RouteDeletes(c.GC)
-	return r
+	return selfopt.NewReaper(c.GC, c.agentFor("reaper"), strategies...)
 }
 
 // actuator implements selfconfig.Actuator over the cluster.

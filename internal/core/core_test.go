@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"blobseer/internal/chunk"
 	"blobseer/internal/policy"
+	"blobseer/internal/provider"
 	"blobseer/internal/selfconfig"
 	"blobseer/internal/selfopt"
 	"blobseer/internal/storetest"
@@ -153,6 +156,87 @@ func TestClusterHealAfterProviderLoss(t *testing.T) {
 	}
 	if report.Repaired == 0 {
 		t.Fatalf("nothing repaired: %+v", report)
+	}
+}
+
+// putHookStore runs hook once, on the first Put after it is armed,
+// before the Put itself lands.
+type putHookStore struct {
+	provider.Store
+	armed *atomic.Bool
+	hook  func()
+}
+
+func (s putHookStore) Put(id chunk.ID, data []byte) error {
+	if s.armed.CompareAndSwap(true, false) {
+		s.hook()
+	}
+	return s.Store.Put(id, data)
+}
+
+// TestHealDoesNotRevertConcurrentWrite: a heal walks v1, and a client
+// overwrite publishes v2 while the heal copies the under-replicated
+// chunk — after the walk, before the repair publishes. The repair
+// carries v1's descriptor for the slot; applying it would revert the
+// acknowledged overwrite. The repair must find the slot changed and
+// leave v2's chunk in place.
+func TestHealDoesNotRevertConcurrentWrite(t *testing.T) {
+	var armed atomic.Bool
+	var hook func()
+	base := storetest.Factory(t)
+	c := newCluster(t, Options{
+		Providers: 4, Replicas: 2, Monitoring: false,
+		ProviderStore: func(id string) provider.Store {
+			var inner provider.Store
+			if base != nil {
+				inner = base(id)
+			}
+			if inner == nil {
+				inner = provider.NewMemStore(0)
+			}
+			return putHookStore{Store: inner, armed: &armed, hook: func() { hook() }}
+		},
+	})
+	cl := c.Client("u")
+	info, err := cl.Create(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := bytes.Repeat([]byte{'a'}, 256)
+	if _, err := cl.Write(info.ID, 0, v1); err != nil {
+		t.Fatal(err)
+	}
+	holder := ""
+	for _, id := range c.Providers() {
+		if p, _ := c.Provider(id); p.Has(chunk.Sum(v1)) {
+			holder = id
+			break
+		}
+	}
+	if err := c.RemoveProvider(holder); err != nil {
+		t.Fatal(err)
+	}
+
+	v2 := bytes.Repeat([]byte{'b'}, 256)
+	hook = func() {
+		if _, err := cl.Write(info.ID, 0, v2); err != nil {
+			t.Errorf("overwrite during heal: %v", err)
+		}
+	}
+	armed.Store(true) // the heal's replica copy is the next Put
+	if _, err := c.Heal(t0); err != nil {
+		t.Fatalf("heal: %v", err)
+	}
+	if armed.Load() {
+		t.Fatal("the heal copied nothing; the race did not run")
+	}
+	latest, err := c.VM.Latest(info.ID)
+	if err != nil || latest.Version != 3 {
+		t.Fatalf("latest = %+v, %v; want v3 (v2 overwrite, then the repair)", latest, err)
+	}
+	got, err := cl.Read(info.ID, 0, 0, 256)
+	if err != nil || !bytes.Equal(got, v2) {
+		t.Fatalf("read after heal = %.8q, %v; want the v2 overwrite", got, err)
 	}
 }
 

@@ -3,7 +3,7 @@
 // records, over its file size — falls below Options.CompactLiveFraction
 // is a victim: everything authoritative still in it is re-recorded at
 // the log head (live payloads as recPut with current absolute
-// refs/epoch, payload-elsewhere state as recState, tombstones whose
+// refs, payload-elsewhere state as recState, tombstones whose
 // payload record still exists elsewhere as fresh tombstones), after
 // which the file holds only superseded history and is dropped. Readers
 // never block: a Get in flight holds a reader pin, so the file is
@@ -184,7 +184,7 @@ func (s *DiskStore) compactSegment(v *segment) (int64, error) {
 
 // relocatePayload moves one live payload out of v: read outside the
 // lock (the bytes are immutable), then re-verify and append a recPut
-// with the chunk's current absolute refs/epoch.
+// with the chunk's current absolute refs.
 func (s *DiskStore) relocatePayload(v *segment, id chunk.ID, buf []byte) ([]byte, error) {
 	s.mu.Lock()
 	e, ok := s.idx[id]
@@ -215,7 +215,7 @@ func (s *DiskStore) relocatePayload(v *segment, id chunk.ID, buf []byte) ([]byte
 	if !ok || e.seg != v.id {
 		return buf, nil // raced away while we read: nothing to move
 	}
-	rec := record{typ: recPut, refs: e.refs, epoch: e.epoch, id: id, payload: buf}
+	rec := record{typ: recPut, refs: e.refs, id: id, payload: buf}
 	seg, poff, err := s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
 	if err != nil {
 		return buf, err
@@ -236,7 +236,7 @@ func (s *DiskStore) restate(v *segment, id chunk.ID) error {
 	if !ok || e.stateSeg != v.id || e.seg == v.id {
 		return nil
 	}
-	rec := record{typ: recState, refs: e.refs, epoch: e.epoch, id: id}
+	rec := record{typ: recState, refs: e.refs, id: id}
 	seg, off, err := s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
 	if err != nil {
 		return err
@@ -263,7 +263,7 @@ func (s *DiskStore) rewriteTombstone(v *segment, id chunk.ID) error {
 		delete(s.deadKeys, id)
 		return nil
 	}
-	rec := record{typ: recState, refs: 0, epoch: 0, id: id}
+	rec := record{typ: recState, refs: 0, id: id}
 	seg, off, err := s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
 	if err != nil {
 		return err

@@ -82,7 +82,6 @@ type entry struct {
 	off      int64  // payload offset within that segment file
 	size     int64  // payload bytes
 	refs     int32
-	epoch    uint64
 	stateSeg uint32 // segment holding the latest authoritative record
 }
 
@@ -121,7 +120,6 @@ type DiskStore struct {
 
 	used  atomic.Int64 // live payload bytes (each chunk once)
 	count atomic.Int64
-	epoch atomic.Uint64
 
 	mu       sync.Mutex
 	idx      map[chunk.ID]entry
@@ -283,11 +281,9 @@ func (s *DiskStore) replaySegment(id uint32, tail bool) error {
 // payload's offset in seg's file. It returns the live payload bytes
 // freed (non-zero only for a tombstone).
 func (s *DiskStore) apply(seg *segment, payloadOff int64, rec *record) int64 {
-	if e := rec.epoch; e > s.epoch.Load() {
-		s.epoch.Store(e)
-	}
 	switch rec.typ {
 	case recEpoch:
+		// Legacy sweep-epoch marker: carries no chunk state.
 		return 0
 	case recPut:
 		size := int64(len(rec.payload))
@@ -310,7 +306,7 @@ func (s *DiskStore) apply(seg *segment, payloadOff int64, rec *record) int64 {
 		seg.stateRecs++
 		s.idx[rec.id] = entry{
 			seg: seg.id, off: payloadOff, size: size,
-			refs: rec.refs, epoch: rec.epoch, stateSeg: seg.id,
+			refs: rec.refs, stateSeg: seg.id,
 		}
 		return 0
 	case recState:
@@ -331,7 +327,7 @@ func (s *DiskStore) apply(seg *segment, payloadOff int64, rec *record) int64 {
 		if rec.refs > 0 {
 			s.segRef(e.stateSeg).stateRecs--
 			seg.stateRecs++
-			e.refs, e.epoch, e.stateSeg = rec.refs, rec.epoch, seg.id
+			e.refs, e.stateSeg = rec.refs, seg.id
 			s.idx[rec.id] = e
 			return 0
 		}
@@ -427,8 +423,8 @@ func (s *DiskStore) appendLocked(rec *record) (*segment, int64, error) {
 }
 
 // Put stores data under id, or re-states an already-present chunk with
-// one more reference and a refreshed epoch tag (content addressing
-// makes replays idempotent). Implements provider.Store.
+// one more reference (content addressing makes replays idempotent).
+// Implements provider.Store.
 func (s *DiskStore) Put(id chunk.ID, data []byte) error {
 	if s.m == nil {
 		return s.put(id, data)
@@ -445,9 +441,8 @@ func (s *DiskStore) put(id chunk.ID, data []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	cur := s.epoch.Load()
 	if e, ok := s.idx[id]; ok {
-		rec := record{typ: recState, refs: e.refs + 1, epoch: cur, id: id}
+		rec := record{typ: recState, refs: e.refs + 1, id: id}
 		seg, off, err := s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
 		if err != nil {
 			return err
@@ -459,7 +454,7 @@ func (s *DiskStore) put(id chunk.ID, data []byte) error {
 	if s.opts.Capacity > 0 && s.used.Load()+n > s.opts.Capacity {
 		return provider.ErrFull
 	}
-	rec := record{typ: recPut, refs: 1, epoch: cur, id: id, payload: data}
+	rec := record{typ: recPut, refs: 1, id: id, payload: data}
 	seg, off, err := s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
 	if err != nil {
 		return err
@@ -549,7 +544,7 @@ func (s *DiskStore) Delete(id chunk.ID) error {
 	if refs < 0 {
 		refs = 0
 	}
-	rec := record{typ: recState, refs: refs, epoch: e.epoch, id: id}
+	rec := record{typ: recState, refs: refs, id: id}
 	seg, off, err := s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
 	if err != nil {
 		return err
@@ -569,11 +564,10 @@ func (s *DiskStore) Purge(id chunk.ID) (int64, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	e, ok := s.idx[id]
-	if !ok {
+	if _, ok := s.idx[id]; !ok {
 		return 0, nil
 	}
-	rec := record{typ: recState, refs: 0, epoch: e.epoch, id: id}
+	rec := record{typ: recState, refs: 0, id: id}
 	seg, off, err := s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
 	if err != nil {
 		return 0, err
@@ -602,29 +596,9 @@ func (s *DiskStore) List(after chunk.ID, limit int) ([]provider.ChunkInfo, bool)
 	out := make([]provider.ChunkInfo, len(ids))
 	for i, id := range ids {
 		e := s.idx[id]
-		out[i] = provider.ChunkInfo{ID: id, Size: e.size, Refs: int(e.refs), Epoch: e.epoch}
+		out[i] = provider.ChunkInfo{ID: id, Size: e.size, Refs: int(e.refs)}
 	}
 	return out, more
-}
-
-// Epoch implements provider.LifecycleStore.
-func (s *DiskStore) Epoch() uint64 { return s.epoch.Load() }
-
-// AdvanceEpoch implements provider.LifecycleStore. The new epoch is
-// durable via a recEpoch record; if that append fails the advance still
-// holds in memory — after a crash the epoch falls back to the highest
-// tag on disk, which only widens the sweep grace window (the safe
-// direction: chunks look newer, never older).
-func (s *DiskStore) AdvanceEpoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.epoch.Add(1)
-	if s.closed {
-		return e
-	}
-	rec := record{typ: recEpoch, epoch: e}
-	_, _, _ = s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
-	return e
 }
 
 // Has reports whether the chunk is present.

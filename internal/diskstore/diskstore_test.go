@@ -2,7 +2,9 @@ package diskstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -85,17 +87,16 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestRefcountSemanticsMatchMemStore(t *testing.T) {
 	// The disk store must mirror MemStore's contract exactly: re-put
-	// bumps refs and refreshes the epoch tag, Delete decrements and
+	// bumps refs, Delete decrements and
 	// frees at zero, Delete of an absent chunk is ErrNotFound, Purge
 	// frees wholesale and tolerates absence.
 	s, _ := open(t, Options{})
 	data := payload(2, 100)
 	id := mustPut(t, s, data)
-	s.AdvanceEpoch()
-	mustPut(t, s, data) // refs=2, epoch tag refreshed to 1
+	mustPut(t, s, data) // refs=2
 
 	infos, _ := s.List(chunk.ID{}, 10)
-	if len(infos) != 1 || infos[0].Refs != 2 || infos[0].Epoch != 1 {
+	if len(infos) != 1 || infos[0].Refs != 2 {
 		t.Fatalf("after re-put: %+v", infos)
 	}
 	if s.Used() != 100 {
@@ -188,18 +189,16 @@ func TestRecoveryCleanRestart(t *testing.T) {
 		rows = append(rows, row{mustPut(t, s, d), d})
 	}
 	mustPut(t, s, rows[0].data) // refs=2
-	s.AdvanceEpoch()
-	s.AdvanceEpoch()
 	if err := s.Delete(rows[1].id); err != nil {
 		t.Fatal(err)
 	}
-	wantUsed, wantCount, wantEpoch := s.Used(), s.Count(), s.Epoch()
+	wantUsed, wantCount := s.Used(), s.Count()
 	s.Close()
 
 	s2 := reopen(t, dir, Options{SegmentBytes: 4 << 10})
-	if s2.Used() != wantUsed || s2.Count() != wantCount || s2.Epoch() != wantEpoch {
-		t.Fatalf("recovered Used=%d Count=%d Epoch=%d, want %d/%d/%d",
-			s2.Used(), s2.Count(), s2.Epoch(), wantUsed, wantCount, wantEpoch)
+	if s2.Used() != wantUsed || s2.Count() != wantCount {
+		t.Fatalf("recovered Used=%d Count=%d, want %d/%d",
+			s2.Used(), s2.Count(), wantUsed, wantCount)
 	}
 	for i, r := range rows {
 		if i == 1 {
@@ -684,4 +683,99 @@ func TestCloseIdempotentAndFailsOps(t *testing.T) {
 	if _, err := s.Get(id); err != ErrClosed {
 		t.Fatalf("Get after Close = %v, want ErrClosed", err)
 	}
+}
+
+// legacyRecord encodes one record the way logs were written while the
+// store kept sweep epochs: bytes [13:21] carry a put-epoch tag (or, for
+// recEpoch, the new current epoch) instead of zero.
+func legacyRecord(typ byte, refs int32, epoch uint64, id chunk.ID, data []byte) []byte {
+	b := make([]byte, 57+len(data))
+	copy(b[0:4], "bsLg")
+	b[8] = typ
+	binary.LittleEndian.PutUint32(b[9:], uint32(refs))
+	binary.LittleEndian.PutUint64(b[13:], epoch)
+	copy(b[21:53], id[:])
+	binary.LittleEndian.PutUint32(b[53:], uint32(len(data)))
+	copy(b[57:], data)
+	binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[8:]))
+	return b
+}
+
+// TestLegacyEpochSegmentsRecover: a data dir written with sweep epochs
+// — recPut/recState records carrying non-zero epoch tags, interleaved
+// with recEpoch markers — still opens, recovers exactly the chunk state
+// the same operations produce today, and keeps it through compaction
+// and another restart.
+func TestLegacyEpochSegmentsRecover(t *testing.T) {
+	a, b, c, d := payload(9000, 300), payload(9001, 300), payload(9002, 300), payload(9003, 300)
+	ia, ib, ic, id := chunk.Sum(a), chunk.Sum(b), chunk.Sum(c), chunk.Sum(d)
+	var zero chunk.ID
+	seg1 := bytes.Join([][]byte{
+		legacyRecord(recPut, 1, 3, ia, a),
+		legacyRecord(recPut, 1, 3, ib, b),
+		legacyRecord(recEpoch, 0, 4, zero, nil),
+		legacyRecord(recState, 2, 4, ia, nil), // re-put: refs 2, tag refreshed
+		legacyRecord(recPut, 1, 4, ic, c),
+		legacyRecord(recState, 0, 4, ic, nil), // purge
+		legacyRecord(recEpoch, 0, 5, zero, nil),
+	}, nil)
+	seg2 := bytes.Join([][]byte{
+		legacyRecord(recPut, 1, 5, id, d),
+		legacyRecord(recState, 0, 5, ib, nil), // delete to zero
+		legacyRecord(recEpoch, 0, 6, zero, nil),
+	}, nil)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "00000001.seg"), seg1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "00000002.seg"), seg2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The same operations through today's API.
+	ref, _ := open(t, Options{})
+	mustPut(t, ref, a)
+	mustPut(t, ref, b)
+	mustPut(t, ref, a)
+	mustPut(t, ref, c)
+	if _, err := ref.Purge(ic); err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, ref, d)
+	if err := ref.Delete(ib); err != nil {
+		t.Fatal(err)
+	}
+	want := listAll(ref)
+
+	check := func(what string, s *DiskStore) {
+		t.Helper()
+		if s.Used() != ref.Used() || s.Count() != ref.Count() {
+			t.Fatalf("%s: Used=%d Count=%d, want %d/%d", what, s.Used(), s.Count(), ref.Used(), ref.Count())
+		}
+		got := listAll(s)
+		if len(got) != len(want) {
+			t.Fatalf("%s: listed %d chunks, want %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: chunk %d = %+v, want %+v", what, i, got[i], want[i])
+			}
+		}
+		for _, p := range [][]byte{a, d} {
+			if got, err := s.Get(chunk.Sum(p)); err != nil || !bytes.Equal(got, p) {
+				t.Fatalf("%s: Get: %v", what, err)
+			}
+		}
+	}
+
+	// Compact every sealed segment, whatever its live fraction.
+	opts := Options{CompactLiveFraction: 1.1}
+	s := reopen(t, dir, opts)
+	check("replay", s)
+	if dropped, _, err := s.CompactOnce(); err != nil || dropped == 0 {
+		t.Fatalf("CompactOnce dropped %d segments, %v", dropped, err)
+	}
+	check("compacted", s)
+	s.Close()
+	check("replay after compaction", reopen(t, dir, opts))
 }

@@ -1,7 +1,7 @@
 // The on-disk record format of the log-structured chunk store. Segment
 // files are a pure append-only sequence of checksummed records; every
 // record is self-contained and states the chunk's *absolute* reference
-// count and epoch, never a delta. Absolute state is what makes
+// count, never a delta. Absolute state is what makes
 // compaction safe: a segment can be dropped once every chunk whose most
 // recent authoritative record lives in it has been re-recorded in a
 // newer segment — no earlier delta chain has to be preserved.
@@ -12,7 +12,7 @@
 //	[4:8]    crc32 (IEEE) over bytes [8 : 57+payload)
 //	[8]      record type
 //	[9:13]   refs  (int32: absolute reference count after this record)
-//	[13:21]  epoch (uint64: put-epoch tag, or the new epoch for recEpoch)
+//	[13:21]  reserved (written as 0; older logs stored a sweep-epoch tag)
 //	[21:53]  chunk ID (zero for recEpoch)
 //	[53:57]  payload length n (uint32; non-zero only for recPut)
 //	[57:57+n] payload
@@ -37,12 +37,13 @@ const (
 	// recPut carries a payload: a fresh chunk, or a compaction rewrite
 	// relocating a live payload (refs then carries the current count).
 	recPut = byte(1)
-	// recState re-states a chunk's absolute refs+epoch without payload:
+	// recState re-states a chunk's absolute refs without payload:
 	// re-puts (refs+1), deletes (refs-1), purges and delete-to-zero
 	// (refs=0, a tombstone), and compaction re-statements.
 	recState = byte(2)
-	// recEpoch persists an AdvanceEpoch: the epoch field holds the new
-	// current epoch.
+	// recEpoch is a legacy sweep-epoch marker. Logs written before the
+	// epoch plane was retired contain them; replay accepts and skips
+	// them, and nothing writes them any more.
 	recEpoch = byte(3)
 )
 
@@ -52,7 +53,6 @@ const (
 	crcOff     = 4
 	typeOff    = 8
 	refsOff    = 9
-	epochOff   = 13
 	idOff      = 21
 	lenOff     = 53
 )
@@ -66,7 +66,6 @@ var ErrCorrupt = errors.New("diskstore: corrupt segment record")
 type record struct {
 	typ     byte
 	refs    int32
-	epoch   uint64
 	id      chunk.ID
 	payload []byte // recPut only; aliases the decode buffer
 }
@@ -79,7 +78,6 @@ func (r *record) encode(dst []byte) []byte {
 	copy(h[magicOff:], magic[:])
 	h[typeOff] = r.typ
 	binary.LittleEndian.PutUint32(h[refsOff:], uint32(r.refs))
-	binary.LittleEndian.PutUint64(h[epochOff:], r.epoch)
 	copy(h[idOff:], r.id[:])
 	binary.LittleEndian.PutUint32(h[lenOff:], uint32(len(r.payload)))
 	dst = append(dst, r.payload...)
@@ -106,7 +104,6 @@ func decodeHeader(h []byte) (r record, payloadLen int, err error) {
 		return r, 0, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, r.typ)
 	}
 	r.refs = int32(binary.LittleEndian.Uint32(h[refsOff:]))
-	r.epoch = binary.LittleEndian.Uint64(h[epochOff:])
 	copy(r.id[:], h[idOff:lenOff])
 	payloadLen = int(binary.LittleEndian.Uint32(h[lenOff:]))
 	if r.typ != recPut && payloadLen != 0 {

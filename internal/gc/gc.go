@@ -14,32 +14,31 @@
 //     being marked live, so their exclusive chunks become sweep fodder
 //     instead of living forever.
 //
-//   - Sweep: an epoch-based mark-and-sweep pass. Mark walks the
-//     metadata trees of every retained version of every live BLOB
-//     (including descriptors republished by self-optimization repairs)
-//     plus the snapshots of deleted-but-pinned BLOBs; sweep pages through
-//     each provider's chunk inventory and purges unreferenced keys
-//     wholesale. The sweep — not per-operation refcount bookkeeping — is
-//     the source of truth for liveness: stale refcounts left behind by
-//     healed or multi-version BLOBs are corrected here. Chunks flushed by
-//     a still-unpublished writer are protected by a sweep-epoch grace
-//     window: every provider's epoch is advanced before marking, and only
-//     unreferenced chunks whose Put-epoch tag is at least GraceEpochs
-//     windows old are reclaimed.
+//   - Sweep: a mark-and-sweep pass. Mark walks the metadata trees of
+//     every retained version of every live BLOB (including descriptors
+//     republished by self-optimization repairs), the chunks of versions
+//     published but still queued behind an unpublished predecessor, and
+//     the snapshots of deleted-but-pinned BLOBs; sweep pages through
+//     each provider's chunk inventory and purges unreferenced, unleased
+//     keys wholesale. The sweep — not per-operation refcount
+//     bookkeeping — is the source of truth for liveness: stale refcounts
+//     left behind by healed or multi-version BLOBs are corrected here.
 //
-//   - Writer leases: a BlobWriter registers a lease at open
-//     (OpenWriterLease) and releases it at Close/abandon. The lease holds
-//     the writer's base version in the version manager (retention skips
-//     it, so the nodes a partial-slot merge reads stay marked), and its
-//     ID names per-provider chunk leases the writer registers as flushes
-//     land — the sweep's victim classification and the provider's Purge
-//     both skip leased chunks, so an unpublished writer survives any
-//     number of sweep passes and a same-content re-put can never lose to
-//     the purge of an already-classified victim. Leases expire after a
-//     TTL without heartbeat and are reaped at the next sweep, so a
-//     crashed gateway cannot pin storage forever. With leases in place,
-//     the grace window above is belt-and-suspenders, not the correctness
-//     mechanism.
+//   - Writer leases, the only write-in-progress protection: a BlobWriter
+//     registers a lease at open (OpenWriterLease) and releases it at
+//     Close/abandon. The lease holds the writer's base version in the
+//     version manager (retention skips it, so the nodes a partial-slot
+//     merge reads stay marked), and its ID names per-provider chunk
+//     leases the writer registers as flushes land — the sweep's victim
+//     classification and the provider's Purge both skip leased chunks, so
+//     an unpublished writer survives any number of sweep passes and a
+//     same-content re-put can never lose to the purge of an
+//     already-classified victim. A writer that publishes after mark has
+//     walked its BLOB is unmarked for the rest of the pass, so a Release
+//     that arrives while a pass runs keeps its chunk leases until the
+//     pass ends (WriterLease.Release). Leases expire after a TTL without
+//     heartbeat and are reaped at the next sweep, so a crashed gateway
+//     cannot pin storage forever.
 //
 // The mark phase runs at metadata speed: BLOBs fan out over a bounded
 // worker pool (WithMarkWorkers), and within a BLOB the walk is node
@@ -88,6 +87,9 @@ type VersionManager interface {
 	DeletedBlobs() []uint64
 	Versions(blob uint64) ([]vmanager.VersionMeta, error)
 	Version(blob, version uint64) (vmanager.VersionMeta, error)
+	// QueuedChunks lists the chunks of published versions still queued
+	// behind an unpublished predecessor.
+	QueuedChunks(blob uint64) ([]chunk.ID, error)
 	Tree(blob uint64) (*blobmeta.Tree, error)
 	DeleteExact(blob uint64) ([]vmanager.VersionSlots, error)
 	RetentionCandidates(blob uint64, now time.Time) ([]uint64, error)
@@ -113,7 +115,7 @@ func blobGone(err error) bool {
 
 // Providers is the lifecycle manager's access to the data-provider pool.
 // The in-process plane adapts core.Cluster; an RPC plane adapts
-// rpc.Conn (which carries the same ListChunks/Purge/AdvanceEpoch calls).
+// rpc.Conn (which carries the same ListChunks/Purge/Leases calls).
 type Providers interface {
 	// IDs lists the providers to sweep.
 	IDs() []string
@@ -123,11 +125,6 @@ type Providers interface {
 	// Purge frees chunks wholesale (refcounts ignored) and reports how
 	// many were present and the bytes freed.
 	Purge(ctx context.Context, providerID string, ids []chunk.ID) (int, int64, error)
-	// AdvanceEpoch moves the provider to the next sweep epoch.
-	AdvanceEpoch(ctx context.Context, providerID string) (uint64, error)
-	// Epoch returns the provider's current sweep epoch without
-	// advancing it (dry-run sweeps must not erode the grace window).
-	Epoch(ctx context.Context, providerID string) (uint64, error)
 	// Remove drops one reference of a chunk (the exact-reclaim fast path).
 	Remove(ctx context.Context, providerID string, id chunk.ID) error
 	// Leases enumerates the provider's writer leases (expired included)
@@ -172,8 +169,7 @@ type SweepReport struct {
 	Failed     int   // providers that could not be listed or purged
 	Scanned    int   // chunks examined across all providers
 	Live       int   // chunks marked live (referenced by a retained version or deferred snapshot)
-	Leased     int   // unreferenced chunks protected by a live writer lease
-	InGrace    int   // unreferenced chunks protected by the write-in-progress grace window
+	Leased     int   // unreferenced chunks protected by a writer lease
 	Swept      int   // unreferenced chunks reclaimed (counted, not removed, under DryRun)
 	SweptBytes int64 // payload bytes reclaimed
 
@@ -230,6 +226,10 @@ type Stats struct {
 	RetiredVers   int64 // versions retired by retention so far
 	ActiveLeases  int   // writer leases currently registered with this manager
 	ReapedLeases  int64 // expired lease records reaped by sweeps so far
+
+	// LeaseReleaseFailures counts chunk-lease releases a provider failed;
+	// each such lease lapses to TTL reaping instead.
+	LeaseReleaseFailures int64
 }
 
 // Manager is the storage-lifecycle actor.
@@ -239,11 +239,10 @@ type Manager struct {
 	emit instrument.Emitter
 	now  func() time.Time
 
-	grace       uint64 // epochs of write-in-progress protection
-	pageSize    int    // ListChunks page size
-	batch       int    // Purge batch size
-	workers     int    // providers paged/purged concurrently per sweep
-	markWorkers int    // BLOBs marked concurrently per pass
+	pageSize    int // ListChunks page size
+	batch       int // Purge batch size
+	workers     int // providers paged/purged concurrently per sweep
+	markWorkers int // BLOBs marked concurrently per pass
 
 	mu         sync.Mutex
 	pins       map[pinKey]int
@@ -258,6 +257,12 @@ type Manager struct {
 	leaseNonce string // per-manager lease-ID prefix (cross-process unique)
 	leaseSeq   uint64
 	leaseTTL   time.Duration
+
+	// Chunk-lease release ordering (see WriterLease.Release). relMu is a
+	// leaf lock: never held across I/O.
+	relMu   sync.Mutex
+	relHold bool                // a non-dry-run pass is running: releases wait for its end
+	relHeld map[string][]string // held releases: lease ID → providers it leased chunks at
 
 	sweepMu sync.Mutex // serializes sweeps against each other only
 
@@ -291,6 +296,7 @@ type Manager struct {
 	retiredVers   *metrics.Counter
 	leasesActive  *metrics.Gauge // registered writer leases
 	leasesReaped  *metrics.Counter
+	relFailed     *metrics.Counter // chunk-lease releases a provider failed
 
 	phaseMark      *metrics.Histogram // mark walk duration per pass
 	phaseSweep     *metrics.Histogram // provider inventory sweep duration per pass
@@ -316,20 +322,6 @@ func WithClock(now func() time.Time) Option {
 	return func(m *Manager) {
 		if now != nil {
 			m.now = now
-		}
-	}
-}
-
-// WithGraceEpochs sets how many whole sweep epochs an unreferenced chunk
-// is protected after its last Put (default 1). Grace 0 protects only
-// chunks stored after the pass advanced the epoch (which happens once
-// mark has succeeded); an unpublished writer that flushed before or
-// during the mark loses its chunks — use 0 only when no writers can be
-// in flight.
-func WithGraceEpochs(n int) Option {
-	return func(m *Manager) {
-		if n >= 0 {
-			m.grace = uint64(n)
 		}
 	}
 }
@@ -374,7 +366,6 @@ func New(vm VersionManager, prov Providers, opts ...Option) *Manager {
 		vm: vm, prov: prov,
 		emit:        instrument.Nop{},
 		now:         time.Now,
-		grace:       1,
 		pageSize:    1024,
 		batch:       256,
 		workers:     8,
@@ -383,6 +374,7 @@ func New(vm VersionManager, prov Providers, opts ...Option) *Manager {
 		pinsByBlob:  make(map[uint64]int),
 		deferred:    make(map[uint64]*deferredBlob),
 		leases:      make(map[string]*writerLeaseState),
+		relHeld:     make(map[string][]string),
 		leaseNonce:  newLeaseNonce(),
 		leaseTTL:    provider.DefaultLeaseTTL,
 
@@ -395,6 +387,7 @@ func New(vm VersionManager, prov Providers, opts ...Option) *Manager {
 		retiredVers:    &metrics.Counter{},
 		leasesActive:   &metrics.Gauge{},
 		leasesReaped:   &metrics.Counter{},
+		relFailed:      &metrics.Counter{},
 		phaseMark:      metrics.NewHistogram(metrics.DurationBuckets),
 		phaseSweep:     metrics.NewHistogram(metrics.DurationBuckets),
 		phaseNodeSweep: metrics.NewHistogram(metrics.DurationBuckets),
@@ -736,22 +729,40 @@ func (m *Manager) EnforceRetention(ctx context.Context, now time.Time) (Retentio
 
 // Sweep runs one mark-and-sweep pass. Mark enumerates the descriptors of
 // every retained version of every live BLOB plus the snapshots of
-// deleted-but-pinned BLOBs; sweep advances every provider's epoch, pages
-// through its chunk inventory and purges unreferenced chunks old enough
-// to clear the grace window. Providers are paged and purged concurrently
-// (bounded by WithSweepWorkers), so wall-clock sweep time tracks the
-// slowest provider, not the sum. Under dryRun chunks are classified and
-// counted but nothing is removed.
+// deleted-but-pinned BLOBs; sweep pages through every provider's chunk
+// inventory and purges the chunks neither marked nor named by a writer
+// lease. Providers are paged and purged concurrently (bounded by
+// WithSweepWorkers), so wall-clock sweep time tracks the slowest
+// provider, not the sum. Under dryRun chunks are classified and counted
+// but nothing is removed.
 //
 // The sweep never excludes the foreground: deletes, pin-drain reclaims
 // and orphan reclaims proceed while it runs, ordered against its purges
 // by the per-pass purged-ID set behind the fence (see Manager.fence).
+// Writer-lease releases that arrive during a non-dry-run pass are held
+// back until it ends (see WriterLease.Release).
 func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
+	rep, held, err := m.sweep(ctx, dryRun)
+	// Outside sweepMu: the next pass may already be marking, but every
+	// held lease's writer published before this pass ended, so that mark
+	// sees it. The release must outlive a cancelled ctx — a pass cut
+	// short still lets go of the chunks it held.
+	m.releaseChunkLeases(context.WithoutCancel(ctx), held)
+	return rep, err
+}
+
+// sweep is one pass under sweepMu. A non-dry-run pass holds writer-lease
+// releases back from before its mark until it returns, and returns the
+// releases it held.
+func (m *Manager) sweep(ctx context.Context, dryRun bool) (rep SweepReport, held map[string][]string, err error) {
 	m.sweepMu.Lock()
 	defer m.sweepMu.Unlock()
-
-	rep := SweepReport{Time: m.now(), DryRun: dryRun}
+	rep = SweepReport{Time: m.now(), DryRun: dryRun}
 	if !dryRun {
+		m.relMu.Lock()
+		m.relHold = true
+		m.relMu.Unlock()
+		defer func() { held = m.endHold() }() // runs before the unlock above
 		// A writer that stopped heartbeating is dead; drop its base hold
 		// before retention and mark run so the expiry actually frees
 		// anything this pass. Dry-runs classify but never reap.
@@ -780,48 +791,9 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 	markStart := m.now()
 	ms, err := m.mark(ctx) //lockio:allow sweepMu exists to serialize whole passes, I/O included; foreground work never takes it
 	if err != nil {
-		return rep, err
+		return rep, nil, err
 	}
 	m.phaseMark.Observe(m.now().Sub(markStart).Seconds())
-
-	// Epochs advance only after mark succeeds: an aborted pass (flaky
-	// metadata plane, cancellation) must not age unpublished writers out
-	// of their grace protection — the same erosion rule dry-runs follow
-	// (they never advance, classifying against the epoch a real sweep
-	// would see). Advancing after mark keeps every racing writer safe at
-	// the default grace: a chunk flushed during the mark walks carries
-	// the pre-advance epoch E and classifies E+grace >= E+1 for any
-	// grace >= 1; a chunk flushed after the advance carries E+1 and is
-	// inside the window at any grace. Only grace 0 narrows: it protects
-	// just the stores that land after this advance (see WithGraceEpochs).
-	epochs := make(map[string]uint64, len(ids))
-	for _, id := range ids {
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var e uint64
-			var err error
-			if dryRun {
-				e, err = m.prov.Epoch(ctx, id)
-				e++
-			} else {
-				e, err = m.prov.AdvanceEpoch(ctx, id)
-			}
-			mu.Lock()
-			if err != nil {
-				rep.Failed++
-				if firstErr == nil {
-					firstErr = fmt.Errorf("gc: advance epoch %s: %w", id, err)
-				}
-			} else {
-				epochs[id] = e
-			}
-			mu.Unlock()
-		}(id)
-	}
-	wg.Wait() //lockio:allow sweepMu serializes whole passes, fan-out waits included; foreground work never takes it
 
 	if !dryRun {
 		// Open the pass's purged-ID set: from here until the deferred
@@ -839,8 +811,8 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 	}
 
 	// The metadata-node sweep runs alongside the provider fan-out: it
-	// touches only the metadata stores, needs no epoch and no purge
-	// fence, and is one in-memory scan against the mark set.
+	// touches only the metadata stores, needs no purge fence, and is one
+	// in-memory scan against the mark set.
 	sweepStart := m.now()
 	wg.Add(1)
 	go func() {
@@ -860,16 +832,12 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 	}()
 
 	for _, id := range ids {
-		epoch, ok := epochs[id]
-		if !ok {
-			continue
-		}
 		wg.Add(1)
-		go func(id string, epoch uint64) {
+		go func(id string) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res := m.sweepProvider(ctx, id, epoch, ms.chunks, dryRun)
+			res := m.sweepProvider(ctx, id, ms.chunks, dryRun)
 			mu.Lock()
 			if res.counted {
 				rep.Providers++
@@ -880,7 +848,6 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 			rep.Scanned += res.scanned
 			rep.Live += res.live
 			rep.Leased += res.leased
-			rep.InGrace += res.inGrace
 			rep.Swept += res.swept
 			rep.SweptBytes += res.sweptBytes
 			rep.LeasesReaped += res.leasesReaped
@@ -889,7 +856,7 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 			if res.err != nil {
 				fail(res.err)
 			}
-		}(id, epoch)
+		}(id)
 	}
 	wg.Wait() //lockio:allow sweepMu serializes whole passes, fan-out waits included; foreground work never takes it
 	// The sweep phase covers the provider-inventory fan-out (the node
@@ -905,33 +872,33 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 		Time: rep.Time, Actor: instrument.ActorGC, Op: instrument.OpSweep,
 		Bytes: rep.SweptBytes, Value: float64(rep.Swept),
 	})
-	return rep, firstErr
+	return rep, nil, firstErr
 }
 
 // provSweep is one provider's share of a sweep pass.
 type provSweep struct {
-	counted                               bool // provider completed its listing (counts in Providers)
-	failed                                bool
-	scanned, live, leased, inGrace, swept int
-	leasesReaped                          int
-	sweptBytes                            int64
-	err                                   error
+	counted                      bool // provider completed its listing (counts in Providers)
+	failed                       bool
+	scanned, live, leased, swept int
+	leasesReaped                 int
+	sweptBytes                   int64
+	err                          error
 }
 
 // sweepProvider pages one provider's inventory, classifies every chunk
-// against the mark set, the provider's writer leases and the grace
-// window, and purges victims in batches as the scan goes — victims
-// never accumulate past one batch beyond the page in flight. Reclaimed
-// space is counted from what Purge actually freed, not from the
-// classification: a failed provider must not report its victims as
-// swept.
+// against the mark set and the provider's writer leases, and purges
+// victims in batches as the scan goes — victims never accumulate past
+// one batch beyond the page in flight. Reclaimed space is counted from
+// what Purge actually freed, not from the classification: a failed
+// provider must not report its victims as swept.
 //
 // Lease handling is fail-safe at both steps: if the leases cannot be
 // enumerated at all, the provider's whole share aborts (a lease we
 // never saw might be protecting anything); if an expired lease cannot
 // be confirmed released, its chunks stay protected this pass and the
-// failure surfaces in the report.
-func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, marked map[chunk.ID]bool, dryRun bool) provSweep {
+// failure surfaces in the report. A lease whose release is held back
+// for the end of the pass protects its chunks whatever its expiry.
+func (m *Manager) sweepProvider(ctx context.Context, id string, marked map[chunk.ID]bool, dryRun bool) provSweep {
 	var res provSweep
 	leaseList, err := m.prov.Leases(ctx, id)
 	if err != nil {
@@ -942,7 +909,7 @@ func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, ma
 	now := m.now()
 	leased := make(map[chunk.ID]struct{})
 	for _, li := range leaseList {
-		if now.After(li.Expires) {
+		if now.After(li.Expires) && !m.releasePending(li.ID) {
 			if dryRun {
 				// Expired: classified as unprotected (what a real sweep
 				// would see), but dry-runs never mutate lease state.
@@ -1001,15 +968,11 @@ func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, ma
 			case marked[info.ID]:
 				res.live++
 			case isLeased:
-				// A live writer lease names this chunk: an unpublished
-				// writer flushed it (or re-put identical content), and no
-				// number of elapsed grace epochs makes it a victim.
+				// A writer lease names this chunk: an unpublished writer
+				// flushed it (or re-put identical content), or a writer
+				// published it after mark and its release waits for the
+				// pass to end.
 				res.leased++
-			case info.Epoch+m.grace >= epoch:
-				// Possibly an unpublished writer's flush: protected
-				// until it has sat unreferenced through the grace
-				// window.
-				res.inGrace++
 			case dryRun:
 				// Dry-run reports the classification: what a real
 				// sweep would reclaim.
@@ -1088,7 +1051,21 @@ func newMarkSet() *markSet {
 // O(versions × nodes). A BLOB deleted between enumeration and walk is
 // skipped; any other version-manager or metadata error aborts the pass
 // (fail safe: an unmarked live chunk is a purge casualty).
+//
+// The chunks of publications still queued behind an unpublished
+// predecessor are marked too. They are read before the version list, so
+// a publication the queue applies in between is in that list.
 func (m *Manager) markBlob(ctx context.Context, blob uint64, ms *markSet) error {
+	queued, err := m.vm.QueuedChunks(blob)
+	if err != nil {
+		if blobGone(err) {
+			return nil
+		}
+		return fmt.Errorf("gc: mark blob %d: queued publications: %w", blob, err)
+	}
+	for _, id := range queued {
+		ms.chunks[id] = true
+	}
 	versions, err := m.vm.Versions(blob)
 	if err != nil {
 		if blobGone(err) {
@@ -1141,8 +1118,9 @@ func (m *Manager) markBlob(ctx context.Context, blob uint64, ms *markSet) error 
 // mark enumerates everything that must survive the sweep: the chunk IDs
 // and tree-node keys reachable from the retained versions of live BLOBs
 // — including descriptors republished by self-optimization repairs,
-// which appear as ordinary versions — plus pinned versions and the
-// delete-time snapshots of deferred (pinned) BLOBs. BLOBs fan out over
+// which appear as ordinary versions — the chunks of publications queued
+// behind an unpublished predecessor, pinned versions and the delete-time
+// snapshots of deferred (pinned) BLOBs. BLOBs fan out over
 // a bounded worker pool; all versions of one BLOB stay on one worker so
 // its shared-subtree prune set is worker-local.
 func (m *Manager) mark(ctx context.Context) (*markSet, error) {
@@ -1296,7 +1274,7 @@ feed:
 	return ms, nil
 }
 
-// Mark runs the mark phase alone — no epoch advance, no reclamation —
+// Mark runs the mark phase alone — no reclamation —
 // and reports its coverage: how many BLOBs and versions were walked and
 // how many distinct chunks and tree nodes they reach. Diagnostics and
 // benchmarking; safe to run concurrently with sweeps and foreground
@@ -1432,15 +1410,16 @@ func (m *Manager) Stats() Stats {
 	activeLeases := len(m.leases)
 	m.leaseMu.Unlock()
 	return Stats{
-		ActiveLeases:  activeLeases,
-		ReapedLeases:  m.leasesReaped.Value(),
-		Pins:          int(m.pinned.Value()),
-		PinnedEntries: entries,
-		DeferredBlobs: deferred,
-		SweptChunks:   m.sweptChunks.Value(),
-		SweptBytes:    m.sweptBytes.Value(),
-		SweptNodes:    m.sweptNodes.Value(),
-		ReclaimedRefs: m.reclaimedRefs.Value(),
-		RetiredVers:   m.retiredVers.Value(),
+		ActiveLeases:         activeLeases,
+		ReapedLeases:         m.leasesReaped.Value(),
+		LeaseReleaseFailures: m.relFailed.Value(),
+		Pins:                 int(m.pinned.Value()),
+		PinnedEntries:        entries,
+		DeferredBlobs:        deferred,
+		SweptChunks:          m.sweptChunks.Value(),
+		SweptBytes:           m.sweptBytes.Value(),
+		SweptNodes:           m.sweptNodes.Value(),
+		ReclaimedRefs:        m.reclaimedRefs.Value(),
+		RetiredVers:          m.retiredVers.Value(),
 	}
 }

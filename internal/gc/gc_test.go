@@ -79,7 +79,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // concurrent delete queues behind the pin, the reader serves its full
 // window, and the drained pin reclaims synchronously on Close.
 func TestPinDefersDeleteUntilClose(t *testing.T) {
-	c := newCluster(t, core.Options{Providers: 3, Monitoring: false, GCGraceEpochs: -1})
+	c := newCluster(t, core.Options{Providers: 3, Monitoring: false})
 	cl := c.Client("alice")
 	info, err := cl.Create(1 << 10)
 	if err != nil {
@@ -150,7 +150,7 @@ func TestPinDefersDeleteUntilClose(t *testing.T) {
 func TestRetentionRetiresOldVersions(t *testing.T) {
 	now := t0
 	c := newCluster(t, core.Options{
-		Providers: 3, Monitoring: false, GCGraceEpochs: -1,
+		Providers: 3, Monitoring: false,
 		Clock: func() time.Time { return now },
 	})
 	cl := c.Client("alice")
@@ -241,7 +241,7 @@ func TestRetentionRetiresOldVersions(t *testing.T) {
 // pre-blob baseline while the pinned reader saw its full version.
 func TestSweepAcceptance(t *testing.T) {
 	c := newCluster(t, core.Options{
-		Providers: 4, Replicas: 2, Monitoring: false, GCGraceEpochs: -1,
+		Providers: 4, Replicas: 2, Monitoring: false,
 	})
 	baseline := chunkCounts(c)
 
@@ -350,10 +350,10 @@ func TestSweepAcceptance(t *testing.T) {
 }
 
 // TestSweepGraceProtectsUnpublishedWriter: chunks flushed by a writer
-// that has not yet published survive a sweep inside the grace window and
-// are marked live once the version publishes.
+// that has not yet published survive a sweep because the writer's lease
+// protects them, and are marked live once the version publishes.
 func TestSweepGraceProtectsUnpublishedWriter(t *testing.T) {
-	c := newCluster(t, core.Options{Providers: 2, Monitoring: false}) // default grace: 1 epoch
+	c := newCluster(t, core.Options{Providers: 2, Monitoring: false})
 	cl := c.Client("alice")
 	info, err := cl.Create(256)
 	if err != nil {
@@ -380,8 +380,8 @@ func TestSweepGraceProtectsUnpublishedWriter(t *testing.T) {
 	}
 	// With writer leases on (the cluster default) the flushed chunk is
 	// classified leased; either way it must not be swept.
-	if rep.Swept != 0 || rep.Leased+rep.InGrace != 1 {
-		t.Fatalf("sweep during write = %+v, want Leased+InGrace 1 Swept 0", rep)
+	if rep.Swept != 0 || rep.Leased != 1 {
+		t.Fatalf("sweep during write = %+v, want Leased 1 Swept 0", rep)
 	}
 	if totalChunks(c) != 1 {
 		t.Fatal("unpublished writer's chunk was swept")
@@ -424,14 +424,6 @@ func (tp testProviders) ListChunks(ctx context.Context, id string, after chunk.I
 
 func (tp testProviders) Purge(ctx context.Context, id string, ids []chunk.ID) (int, int64, error) {
 	return tp.m[id].PurgeChunks(ctx, ids)
-}
-
-func (tp testProviders) AdvanceEpoch(_ context.Context, id string) (uint64, error) {
-	return tp.m[id].AdvanceEpoch()
-}
-
-func (tp testProviders) Epoch(_ context.Context, id string) (uint64, error) {
-	return tp.m[id].Epoch()
 }
 
 func (tp testProviders) Remove(ctx context.Context, id string, ch chunk.ID) error {
@@ -501,8 +493,7 @@ func TestSweepReclaimsLateCompletedStore(t *testing.T) {
 		return lc, nil
 	})
 	cl := client.New("alice", vm, pm, dir)
-	m := gc.New(vm, testProviders{m: map[string]*provider.Provider{"p00": p}},
-		gc.WithGraceEpochs(0))
+	m := gc.New(vm, testProviders{m: map[string]*provider.Provider{"p00": p}})
 
 	info, err := cl.Create(256)
 	if err != nil {
@@ -600,8 +591,7 @@ func TestSweepAbortsOnMarkErrors(t *testing.T) {
 		return p, nil
 	})
 	cl := client.New("alice", vm, pm, dir)
-	m := gc.New(fvm, testProviders{m: map[string]*provider.Provider{"p00": p}},
-		gc.WithGraceEpochs(0))
+	m := gc.New(fvm, testProviders{m: map[string]*provider.Provider{"p00": p}})
 
 	info, err := cl.Create(256)
 	if err != nil {
@@ -622,12 +612,6 @@ func TestSweepAbortsOnMarkErrors(t *testing.T) {
 	}
 	if got := p.Stats().Chunks; got != want {
 		t.Fatalf("failing Versions purged a live blob: %d chunks, want %d", got, want)
-	}
-	// An aborted pass must not advance the sweep epoch: repeated
-	// transient failures would otherwise age unpublished writers out of
-	// their grace protection without any sweep completing.
-	if e, err := p.Epoch(); err != nil || e != 0 {
-		t.Fatalf("epoch after aborted sweep = %d (%v), want 0", e, err)
 	}
 	fvm.failVersions.Store(false)
 
@@ -686,7 +670,7 @@ func reachableNodes(t *testing.T, c *core.Cluster, blob uint64, versions ...uint
 // Len returns to the exact expected baseline — and never drops a node
 // reachable from a retained, pinned, or deferred version.
 func TestNodeSweepAcceptance(t *testing.T) {
-	c := newCluster(t, core.Options{Providers: 3, Monitoring: false, GCGraceEpochs: -1})
+	c := newCluster(t, core.Options{Providers: 3, Monitoring: false})
 	cl := c.Client("alice")
 	ctx := context.Background()
 	meta := c.VM.MetaStore()
@@ -844,8 +828,7 @@ func TestNodeSweepPartialRingNeverForgets(t *testing.T) {
 		return p, nil
 	})
 	cl := client.New("alice", vm, pm, dir)
-	m := gc.New(vm, testProviders{m: map[string]*provider.Provider{"p00": p}},
-		gc.WithGraceEpochs(0))
+	m := gc.New(vm, testProviders{m: map[string]*provider.Provider{"p00": p}})
 
 	info, err := cl.Create(256)
 	if err != nil {
@@ -883,7 +866,7 @@ func TestNodeSweepPartialRingNeverForgets(t *testing.T) {
 // sweep driven by the pruned parallel mark are exactly the chunks a
 // naive per-version Walk enumerates — orphans die, live chunks live.
 func TestParallelMarkMatchesNaiveWalk(t *testing.T) {
-	c := newCluster(t, core.Options{Providers: 3, Monitoring: false, GCGraceEpochs: -1})
+	c := newCluster(t, core.Options{Providers: 3, Monitoring: false})
 	cl := c.Client("alice")
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
@@ -1076,7 +1059,7 @@ func TestParallelMarkVsConcurrentLifecycle(t *testing.T) {
 
 // TestSweepDryRunRemovesNothing: dry-run classifies without purging.
 func TestSweepDryRunRemovesNothing(t *testing.T) {
-	c := newCluster(t, core.Options{Providers: 2, Monitoring: false, GCGraceEpochs: -1})
+	c := newCluster(t, core.Options{Providers: 2, Monitoring: false})
 	cl := c.Client("alice")
 	info, err := cl.Create(256)
 	if err != nil {
@@ -1110,14 +1093,6 @@ func TestSweepDryRunRemovesNothing(t *testing.T) {
 	if got := totalChunks(c); got != 1 {
 		t.Fatalf("dry-run removed chunks: %d left, want 1", got)
 	}
-	// Dry-runs must not advance the sweep epoch: repeated dry-runs would
-	// otherwise erode the write-in-progress grace window.
-	for _, id := range c.Providers() {
-		p, _ := c.Provider(id)
-		if e, err := p.Epoch(); err != nil || e != 0 {
-			t.Fatalf("provider %s epoch after dry-run = %d (%v), want 0", id, e, err)
-		}
-	}
 	rep, err = c.GC.Sweep(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
@@ -1130,7 +1105,7 @@ func TestSweepDryRunRemovesNothing(t *testing.T) {
 // TestRunnerLifecycle: the background runner passes periodically and
 // stops on context cancellation.
 func TestRunnerLifecycle(t *testing.T) {
-	c := newCluster(t, core.Options{Providers: 2, Monitoring: false, GCGraceEpochs: -1})
+	c := newCluster(t, core.Options{Providers: 2, Monitoring: false})
 	r := c.GCRunner(time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -1150,7 +1125,7 @@ func TestRunnerLifecycle(t *testing.T) {
 // BenchmarkSweep measures one dry-run mark-and-sweep pass over a
 // populated cluster (dry-run so the population survives iterations).
 func BenchmarkSweep(b *testing.B) {
-	c, err := core.NewCluster(core.Options{Providers: 4, Monitoring: false, GCGraceEpochs: -1})
+	c, err := core.NewCluster(core.Options{Providers: 4, Monitoring: false})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1208,7 +1183,7 @@ func TestForegroundOpsNotBehindSweep(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	c := newCluster(t, core.Options{
-		Providers: 2, Monitoring: false, GCGraceEpochs: -1,
+		Providers: 2, Monitoring: false,
 		ProviderStore: func(string) provider.Store {
 			return &gatedStore{MemStore: provider.NewMemStore(0), inList: inList, release: release, once: &once}
 		},
@@ -1407,7 +1382,7 @@ func TestDecrementVsPurgeInterleaving(t *testing.T) {
 
 	// Everything is deleted: dropped decrements may have leaked
 	// refcounts, but the sweep is the source of truth — a few passes
-	// (the grace window, then the leftovers) must converge to empty.
+	// must converge to empty.
 	waitFor(t, "sweeps to reclaim everything", func() bool {
 		if _, err := c.GC.Sweep(ctx, false); err != nil {
 			t.Fatal(err)

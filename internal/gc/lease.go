@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -65,14 +66,68 @@ func (l *WriterLease) Renew() {
 	m.leaseMu.Unlock()
 }
 
-// Release ends the lease: the base-version hold is dropped and the ID
-// disappears from the active table. Idempotent; releasing a lease the
-// sweep already reaped succeeds.
-func (l *WriterLease) Release() {
+// Release ends the lease: the base-version hold is dropped, the ID
+// disappears from the active table, and the chunk leases registered
+// under it are released at providers, the providers the writer leased
+// chunks at. Idempotent; releasing a lease the sweep already reaped
+// succeeds.
+//
+// The provider release is ordered against the sweep. Mark only sees
+// versions published before it walked their BLOB, so a writer that
+// publishes later is protected for the rest of the pass by its chunk
+// leases alone. While a non-dry-run pass runs, Release therefore holds
+// the provider release back until the pass ends, and the pass treats
+// the held lease as live whatever its expiry. Outside a pass the
+// release runs now on ctx. A provider that fails it keeps the lease
+// until its TTL lapses and a sweep reaps it; the failure is counted
+// (Stats.LeaseReleaseFailures).
+func (l *WriterLease) Release(ctx context.Context, providers []string) {
 	if l.released.Swap(true) {
 		return
 	}
-	l.m.dropLease(l.id)
+	m := l.m
+	m.dropLease(l.id)
+	m.relMu.Lock()
+	hold := m.relHold
+	if hold {
+		m.relHeld[l.id] = providers
+	}
+	m.relMu.Unlock()
+	if !hold {
+		m.releaseChunkLeases(ctx, map[string][]string{l.id: providers})
+	}
+}
+
+// releasePending reports whether lease id's provider release is held
+// back for the running pass.
+func (m *Manager) releasePending(id string) bool {
+	m.relMu.Lock()
+	_, ok := m.relHeld[id]
+	m.relMu.Unlock()
+	return ok
+}
+
+// endHold ends a pass's hold and takes the releases it held back.
+func (m *Manager) endHold() map[string][]string {
+	m.relMu.Lock()
+	defer m.relMu.Unlock()
+	m.relHold = false
+	held := m.relHeld
+	m.relHeld = make(map[string][]string)
+	return held
+}
+
+// releaseChunkLeases drops each lease in leases (lease ID → providers)
+// at its providers. A failed release is counted; the lease stays at
+// that provider until its TTL lapses and a pass reaps it.
+func (m *Manager) releaseChunkLeases(ctx context.Context, leases map[string][]string) {
+	for id, provs := range leases {
+		for _, p := range provs {
+			if err := m.prov.ReleaseLease(ctx, p, id); err != nil {
+				m.relFailed.Inc()
+			}
+		}
+	}
 }
 
 // WithLeaseTTL sets how long a writer lease lives without a heartbeat

@@ -11,26 +11,28 @@ import (
 
 	"blobseer/internal/blobmeta"
 	"blobseer/internal/chunk"
+	"blobseer/internal/client"
 	"blobseer/internal/core"
 	"blobseer/internal/gc"
+	"blobseer/internal/pmanager"
 	"blobseer/internal/provider"
 	"blobseer/internal/storetest"
 	"blobseer/internal/vmanager"
 )
 
-// --- regression 1: stale upload vs grace exhaustion ------------------
+// --- regression 1: stale upload across many sweeps -------------------
 
 // TestLeaseProtectsUnpublishedWriterPastGrace: a writer that stays open
-// across more sweeps than GCGraceEpochs covers keeps its flushed chunks
-// only because its lease protects them — the grace window alone gives
-// up after GCGraceEpochs+1 passes. The unleased subtest demonstrates
-// the underlying race the lease closes: the same upload loses its
-// chunks and publishes a version that cannot be read back.
+// across several sweeps keeps its flushed chunks because its lease
+// protects them; leases are the only protection an unpublished writer
+// has. The unleased subtest demonstrates the underlying race the lease
+// closes: the same upload loses its chunks and publishes a version that
+// cannot be read back.
 func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 	run := func(t *testing.T, leases bool) {
 		c := newCluster(t, core.Options{
 			Providers: 2, Monitoring: false, NoWriterLeases: !leases,
-		}) // default grace: 1 epoch
+		})
 		cl := c.Client("alice")
 		ctx := context.Background()
 		info, err := cl.Create(256)
@@ -51,8 +53,8 @@ func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 		}
 		waitFor(t, "background flush", func() bool { return totalChunks(c) == 1 })
 
-		// Four sweeps: far past the default one-epoch grace. The stale
-		// upload is exactly the shape the grace window cannot cover.
+		// Four sweeps while the upload stays open: only its lease keeps
+		// the unpublished chunk.
 		var last gc.SweepReport
 		for i := 0; i < 4; i++ {
 			last, err = c.GC.Sweep(ctx, false)
@@ -63,7 +65,7 @@ func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 
 		if !leases {
 			if totalChunks(c) != 0 {
-				t.Fatalf("without leases the stale upload's chunk must fall out of grace, %d chunks remain", totalChunks(c))
+				t.Fatalf("without leases the stale upload's chunk must be swept, %d chunks remain", totalChunks(c))
 			}
 			// The writer publishes a version whose chunk is gone: the
 			// upload demonstrably lost data.
@@ -125,7 +127,7 @@ func TestLeaseBlocksPurgeOfReusedChunk(t *testing.T) {
 		release := make(chan struct{})
 		base := storetest.Factory(t)
 		c := newCluster(t, core.Options{
-			Providers: 1, Monitoring: false, GCGraceEpochs: -1,
+			Providers: 1, Monitoring: false,
 			NoWriterLeases: !leases,
 			ProviderStore: func(id string) provider.Store {
 				var inner provider.Store
@@ -223,7 +225,7 @@ func TestLeaseBlocksPurgeOfReusedChunk(t *testing.T) {
 func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 	run := func(t *testing.T, leases bool) {
 		c := newCluster(t, core.Options{
-			Providers: 2, Monitoring: false, GCGraceEpochs: -1,
+			Providers: 2, Monitoring: false,
 			NoWriterLeases: !leases,
 		})
 		cl := c.Client("alice")
@@ -295,6 +297,329 @@ func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 	t.Run("unleased", func(t *testing.T) { run(t, false) })
 }
 
+// --- regression 4: publish after mark, release before the purge -----
+
+// managerLeaser adapts a lifecycle manager to client.Leaser.
+type managerLeaser struct{ m *gc.Manager }
+
+func (l managerLeaser) OpenLease(blob, base uint64) (client.Lease, error) {
+	wl, err := l.m.OpenWriterLease(blob, base)
+	if err != nil {
+		return nil, err
+	}
+	return wl, nil
+}
+
+// hookProviders runs hook once, on the first Leases or ListChunks call
+// (as step names), before forwarding it.
+type hookProviders struct {
+	testProviders
+	step string
+	hook func()
+}
+
+func (hp hookProviders) Leases(ctx context.Context, id string) ([]provider.LeaseInfo, error) {
+	if hp.step == "leases" {
+		hp.hook()
+	}
+	return hp.testProviders.Leases(ctx, id)
+}
+
+func (hp hookProviders) ListChunks(ctx context.Context, id string, after chunk.ID, limit int) ([]provider.ChunkInfo, bool, error) {
+	if hp.step == "list" {
+		hp.hook()
+	}
+	return hp.testProviders.ListChunks(ctx, id, after, limit)
+}
+
+// TestLeaseReleaseHeldUntilPassEnds: mark only sees versions published
+// before it walked their blob, so a writer that publishes later is
+// protected for the rest of the pass by its chunk leases alone. The
+// writer's Close lands after mark — before the sweep enumerates leases,
+// or after that and before the purge — and its lease release must wait
+// for the pass to end, even when the clock passes the lease TTL in
+// between. The chunk is never swept and reads back.
+func TestLeaseReleaseHeldUntilPassEnds(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		step   string // sweep step the writer's Close runs in
+		flush  bool   // the chunk is flushed before the pass starts
+		expire bool   // the clock passes the lease TTL right after Close
+	}{
+		{"close-before-lease-enumeration", "leases", true, false},
+		{"ttl-lapses-before-lease-enumeration", "leases", true, true},
+		{"ttl-lapses-before-purge", "list", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			now := t0
+			clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+
+			vm := vmanager.New(blobmeta.NewMemStore("m1", nil, nil), vmanager.WithSpan(1<<20))
+			pm := pmanager.New(pmanager.WithTTL(0))
+			p := provider.New("p00", "z0", 0, provider.WithClock(clock))
+			if err := pm.Register(pmanager.Info{ID: "p00", Zone: "z0"}); err != nil {
+				t.Fatal(err)
+			}
+			var once sync.Once
+			var hook func()
+			hp := hookProviders{
+				testProviders: testProviders{m: map[string]*provider.Provider{"p00": p}},
+				step:          tc.step,
+				hook:          func() { once.Do(hook) },
+			}
+			m := gc.New(vm, hp, gc.WithClock(clock))
+			dir := client.DirectoryFunc(func(context.Context, string) (client.Conn, error) {
+				return p, nil
+			})
+			cl := client.New("alice", vm, pm, dir, client.WithLeaser(managerLeaser{m}))
+
+			ctx := context.Background()
+			info, err := cl.Create(256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := bytes.Repeat([]byte{'h'}, 256)
+			write := func() (*client.BlobWriter, error) {
+				b, err := cl.Open(ctx, info.ID)
+				if err != nil {
+					return nil, err
+				}
+				w, err := b.NewWriter(ctx, 0)
+				if err != nil {
+					return nil, err
+				}
+				_, err = w.Write(payload)
+				return w, err
+			}
+			var w *client.BlobWriter
+			if tc.flush {
+				if w, err = write(); err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, "background flush", func() bool { return p.Stats().Chunks == 1 })
+			}
+			hook = func() {
+				if w == nil {
+					var err error
+					if w, err = write(); err != nil {
+						t.Errorf("write inside the sweep: %v", err)
+						return
+					}
+				}
+				if err := w.Close(); err != nil {
+					t.Errorf("close inside the sweep: %v", err)
+				}
+				if tc.expire {
+					mu.Lock()
+					now = now.Add(time.Hour) // far past the default 30s TTL
+					mu.Unlock()
+				}
+			}
+
+			rep, err := m.Sweep(ctx, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Swept != 0 || p.Stats().Chunks != 1 {
+				t.Fatalf("sweep = %+v with %d chunks, want nothing swept", rep, p.Stats().Chunks)
+			}
+			if tc.flush && rep.Leased != 1 {
+				t.Fatalf("sweep = %+v, want the published chunk classified Leased", rep)
+			}
+			if leases, _ := p.Leases(ctx); len(leases) != 0 {
+				t.Fatalf("held release not flushed at pass end: %+v", leases)
+			}
+			if got, err := cl.Read(info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("read after sweep: %v", err)
+			}
+			// The next pass marks the published version.
+			rep, err = m.Sweep(ctx, false)
+			if err != nil || rep.Live != 1 || rep.Swept != 0 {
+				t.Fatalf("next sweep = %+v, %v; want Live 1", rep, err)
+			}
+		})
+	}
+}
+
+// --- regression 5: a published version queued behind its predecessor -
+
+// TestQueuedPublicationSurvivesSweep: a version published while an
+// earlier version is still unpublished is queued, not applied, so no
+// tree references its chunks yet; its writer has been acknowledged and
+// has released its lease. Mark keeps the queued chunks through any
+// number of passes, and once the predecessor publishes the version
+// applies and reads back.
+func TestQueuedPublicationSurvivesSweep(t *testing.T) {
+	c := newCluster(t, core.Options{Providers: 2, Monitoring: false})
+	cl := c.Client("alice")
+	ctx := context.Background()
+	info, err := cl.Create(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An earlier append holds v1 and has not published yet.
+	first, err := c.VM.AssignAppend(info.ID, "bob", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{'q'}, 256)
+	v, err := cl.AppendContext(ctx, info.ID, payload)
+	if err != nil || v != first.Version+1 {
+		t.Fatalf("append = v%d, %v; want v%d queued behind v%d", v, err, first.Version+1, first.Version)
+	}
+	if got := c.GC.Stats().ActiveLeases; got != 0 {
+		t.Fatalf("%d writer leases still active after the append returned", got)
+	}
+
+	for i := 0; i < 3; i++ {
+		rep, err := c.GC.Sweep(ctx, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Swept != 0 || totalChunks(c) != 1 {
+			t.Fatalf("sweep #%d = %+v with %d chunks, want the queued version's chunk kept", i+1, rep, totalChunks(c))
+		}
+	}
+
+	if err := c.VM.Abort(info.ID, first.Version); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cl.Read(info.ID, 0, 256, 256); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read of the drained version: %v", err)
+	}
+}
+
+// --- release reaches only the providers the writer leased at ----------
+
+// releaseProviders counts ReleaseLease calls per provider and fails
+// them at the providers marked in fail.
+type releaseProviders struct {
+	testProviders
+	mu    *sync.Mutex
+	calls map[string]int
+	fail  map[string]bool
+}
+
+func (rp releaseProviders) ReleaseLease(ctx context.Context, id, leaseID string) error {
+	rp.mu.Lock()
+	rp.calls[id]++
+	fail := rp.fail[id]
+	rp.mu.Unlock()
+	if fail {
+		return errors.New("release refused")
+	}
+	return rp.testProviders.ReleaseLease(ctx, id, leaseID)
+}
+
+// TestLeaseReleaseReachesOnlyLeasedProviders: a writer's Release goes to
+// the providers it leased chunks at, once each, not to the whole pool.
+// A release a provider fails is counted and the lease stays there until
+// its TTL lapses and a sweep reaps it; the sweep's own result does not
+// depend on it.
+func TestLeaseReleaseReachesOnlyLeasedProviders(t *testing.T) {
+	var clockMu sync.Mutex
+	now := t0
+	clock := func() time.Time { clockMu.Lock(); defer clockMu.Unlock(); return now }
+
+	vm := vmanager.New(blobmeta.NewMemStore("m1", nil, nil), vmanager.WithSpan(1<<20))
+	pm := pmanager.New(pmanager.WithTTL(0))
+	rp := releaseProviders{
+		testProviders: testProviders{m: map[string]*provider.Provider{}},
+		mu:            &sync.Mutex{},
+		calls:         map[string]int{},
+		fail:          map[string]bool{},
+	}
+	for _, id := range []string{"p00", "p01", "p02", "p03"} {
+		rp.m[id] = provider.New(id, "z0", 0, provider.WithClock(clock))
+		if err := pm.Register(pmanager.Info{ID: id, Zone: "z0"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := gc.New(vm, rp, gc.WithClock(clock))
+	dir := client.DirectoryFunc(func(_ context.Context, id string) (client.Conn, error) {
+		return rp.m[id], nil
+	})
+	cl := client.New("alice", vm, pm, dir, client.WithLeaser(managerLeaser{m}), client.WithReplicas(2))
+
+	ctx := context.Background()
+	info, err := cl.Create(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holders := func() []string {
+		var out []string
+		for id, p := range rp.m {
+			if p.Stats().Chunks > 0 {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+
+	if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte{'r'}, 256)); err != nil {
+		t.Fatal(err)
+	}
+	held := holders()
+	rp.mu.Lock()
+	calls := len(rp.calls)
+	for _, id := range held {
+		if rp.calls[id] != 1 {
+			t.Errorf("provider %s holding the chunk got %d releases, want 1", id, rp.calls[id])
+		}
+	}
+	rp.mu.Unlock()
+	if len(held) != 2 || calls != 2 {
+		t.Fatalf("release reached %d providers, chunk held by %v; want exactly the 2 replicas", calls, held)
+	}
+
+	// A provider that refuses the release keeps the lease until its TTL
+	// lapses; the failure is counted, and the next sweep after expiry
+	// reaps it there.
+	rp.mu.Lock()
+	for id := range rp.m {
+		rp.fail[id] = true
+	}
+	rp.mu.Unlock()
+	if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte{'s'}, 256)); err != nil {
+		t.Fatal(err)
+	}
+	failed := m.Stats().LeaseReleaseFailures
+	if failed == 0 {
+		t.Fatal("refused release not counted")
+	}
+	rp.mu.Lock()
+	clear(rp.fail)
+	rp.mu.Unlock()
+	leases := func() int {
+		n := 0
+		for _, p := range rp.m {
+			ls, err := p.Leases(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += len(ls)
+		}
+		return n
+	}
+	if leases() == 0 {
+		t.Fatal("refused release dropped the provider lease anyway")
+	}
+	clockMu.Lock()
+	now = now.Add(time.Hour) // far past the default 30s TTL
+	clockMu.Unlock()
+	rep, err := m.Sweep(ctx, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LeasesReaped == 0 || leases() != 0 {
+		t.Fatalf("sweep = %+v with %d leases left, want the expired lease reaped", rep, leases())
+	}
+	if got, err := cl.Read(info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{'s'}, 256)) {
+		t.Fatalf("read after sweep: %v", err)
+	}
+}
+
 // --- fail-safe: lease enumeration failure aborts the share -----------
 
 // leaseFailProviders wraps the manual-harness provider plane with a
@@ -316,8 +641,7 @@ func TestLeaseEnumerationFailureAbortsSweep(t *testing.T) {
 	vm := vmanager.New(blobmeta.NewMemStore("m1", nil, nil), vmanager.WithSpan(1<<20))
 	p := provider.New("p00", "z0", 0)
 	errPlane := errors.New("lease plane down")
-	m := gc.New(vm, leaseFailProviders{testProviders{m: map[string]*provider.Provider{"p00": p}}, errPlane},
-		gc.WithGraceEpochs(-1))
+	m := gc.New(vm, leaseFailProviders{testProviders{m: map[string]*provider.Provider{"p00": p}}, errPlane})
 
 	ctx := context.Background()
 	if err := p.Store(ctx, "seed", chunk.Sum([]byte("orphan")), []byte("orphan")); err != nil {
@@ -344,7 +668,7 @@ func TestLeaseExpiryReapedBySweep(t *testing.T) {
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
 	c := newCluster(t, core.Options{
-		Providers: 2, Monitoring: false, GCGraceEpochs: -1, Clock: clock,
+		Providers: 2, Monitoring: false, Clock: clock,
 	})
 	cl := c.Client("alice")
 	info, err := cl.Create(256)
@@ -400,15 +724,15 @@ func TestLeaseExpiryReapedBySweep(t *testing.T) {
 
 // TestLeaseHammerConvergence drives leased writers — publishing,
 // failing, and crashing mid-stream — against concurrent sweeps and
-// retention under fault injection, with the grace window disabled so
-// leases are the only in-flight protection. Once the faults stop and
+// retention under fault injection; leases are the only in-flight
+// protection. Once the faults stop and
 // every blob is deleted, sweeps must converge providers, metadata and
 // the lease table to exactly zero.
 func TestLeaseHammerConvergence(t *testing.T) {
 	inj := storetest.NewInjector(42, 0.15)
 	base := storetest.Factory(t)
 	c := newCluster(t, core.Options{
-		Providers: 3, Monitoring: false, GCGraceEpochs: -1,
+		Providers: 3, Monitoring: false,
 		Clock:          time.Now,
 		WriterLeaseTTL: 150 * time.Millisecond,
 		ProviderStore: func(id string) provider.Store {

@@ -6,17 +6,18 @@ import "blobseer/internal/metrics"
 // histograms into reg, replacing the standalone instances New allocated.
 // The lifecycle series are:
 //
-//	blobseer_gc_pinned                    gauge    outstanding reader pins
-//	blobseer_gc_deferred_blobs            gauge    deleted BLOBs queued behind pins
-//	blobseer_gc_swept_chunks_total        counter  chunks reclaimed by sweeps
-//	blobseer_gc_swept_bytes_total         counter  payload bytes reclaimed by sweeps
-//	blobseer_gc_swept_nodes_total         counter  metadata-tree nodes reclaimed
-//	blobseer_gc_reclaimed_refs_total      counter  fast-path refcount decrements
-//	blobseer_gc_retired_versions_total    counter  versions retired by retention
-//	blobseer_gc_leases_active             gauge    writer leases currently registered
-//	blobseer_gc_leases_reaped_total       counter  expired lease records reaped by sweeps
-//	blobseer_gc_phase_seconds{phase=...}  hist     mark | sweep | node_sweep | retention
-//	blobseer_gc_pin_drain_seconds         hist     deferred-reclaim latency on last-pin drain
+//	blobseer_gc_pinned                        gauge    outstanding reader pins
+//	blobseer_gc_deferred_blobs                gauge    deleted BLOBs queued behind pins
+//	blobseer_gc_swept_chunks_total            counter  chunks reclaimed by sweeps
+//	blobseer_gc_swept_bytes_total             counter  payload bytes reclaimed by sweeps
+//	blobseer_gc_swept_nodes_total             counter  metadata-tree nodes reclaimed
+//	blobseer_gc_reclaimed_refs_total          counter  fast-path refcount decrements
+//	blobseer_gc_retired_versions_total        counter  versions retired by retention
+//	blobseer_gc_leases_active                 gauge    writer leases currently registered
+//	blobseer_gc_leases_reaped_total           counter  expired lease records reaped by sweeps
+//	blobseer_gc_lease_release_failures_total  counter  chunk-lease releases a provider failed
+//	blobseer_gc_phase_seconds{phase=...}      hist     mark | sweep | node_sweep | retention
+//	blobseer_gc_pin_drain_seconds             hist     deferred-reclaim latency on last-pin drain
 //
 // A nil registry leaves the standalone instances in place (Stats keeps
 // working, nothing is exported).
@@ -43,6 +44,8 @@ func WithMetrics(reg *metrics.Registry) Option {
 			"Writer leases currently registered with the lifecycle manager.").With()
 		m.leasesReaped = reg.Counter("blobseer_gc_leases_reaped_total",
 			"Expired writer-lease records reaped by sweep passes.").With()
+		m.relFailed = reg.Counter("blobseer_gc_lease_release_failures_total",
+			"Writer chunk-lease releases a provider failed; the lease lapses to TTL reaping.").With()
 		phase := reg.Histogram("blobseer_gc_phase_seconds",
 			"GC pass phase duration by phase.", metrics.DurationBuckets, "phase")
 		m.phaseMark = phase.With("mark")

@@ -116,13 +116,14 @@ func (lt *leaseTable) snapshot() []LeaseInfo {
 	return out
 }
 
-// leasedLocked reports whether a live (non-expired) lease protects id.
+// leasedLocked reports whether any lease in the table protects id.
+// Expiry is deliberately ignored: reaping an expired lease is the
+// sweep's decision (it releases expired leases before it classifies,
+// and keeps a lease whose release it is holding back until its pass
+// ends), so a lease still present at purge time still protects.
 // Caller holds lt.mu.
-func (lt *leaseTable) leasedLocked(id chunk.ID, now time.Time) bool {
+func (lt *leaseTable) leasedLocked(id chunk.ID) bool {
 	for _, r := range lt.rec {
-		if now.After(r.expires) {
-			continue
-		}
 		if _, held := r.chunks[id]; held {
 			return true
 		}
@@ -131,13 +132,13 @@ func (lt *leaseTable) leasedLocked(id chunk.ID, now time.Time) bool {
 }
 
 // purge runs one wholesale chunk purge under the lease ordering rule:
-// skipped (0, nil) when a live lease protects id, otherwise the store
-// purge runs with id registered as in flight so a racing lease
-// registration waits for its completion. The store I/O itself runs with
-// no table lock held.
-func (lt *leaseTable) purge(id chunk.ID, now time.Time, del func() (int64, error)) (int64, error) {
+// skipped (0, nil) when a lease protects id, otherwise the store purge
+// runs with id registered as in flight so a racing lease registration
+// waits for its completion. The store I/O itself runs with no table
+// lock held.
+func (lt *leaseTable) purge(id chunk.ID, del func() (int64, error)) (int64, error) {
 	lt.mu.Lock()
-	if lt.leasedLocked(id, now) {
+	if lt.leasedLocked(id) {
 		lt.mu.Unlock()
 		return 0, nil
 	}
@@ -156,10 +157,10 @@ func (lt *leaseTable) purge(id chunk.ID, now time.Time, del func() (int64, error
 
 // LeaseChunks registers (or renews) writer lease leaseID for ttl from
 // now and attaches ids to its protected set; nil ids is a pure
-// heartbeat. While the lease lives, PurgeChunks skips its chunks — the
-// wholesale reclaim path cannot eat a still-unpublished writer's
-// flushed data, however many grace epochs have passed. It implements
-// the client.ChunkLeaser Conn extension for the in-process plane.
+// heartbeat. Until the lease is released, PurgeChunks skips its chunks
+// — the wholesale reclaim path cannot eat a still-unpublished writer's
+// flushed data, however many sweeps run. It implements the
+// client.ChunkLeaser Conn extension for the in-process plane.
 func (p *Provider) LeaseChunks(ctx context.Context, leaseID string, ttl time.Duration, ids []chunk.ID) error {
 	if err := p.begin(ctx); err != nil {
 		return err

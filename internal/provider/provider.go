@@ -39,21 +39,18 @@ type Store interface {
 }
 
 // ChunkInfo describes one stored chunk from the lifecycle point of view:
-// its payload size, reference count and the sweep epoch of its most
-// recent Put. The garbage collector's mark-and-sweep pass consumes it.
+// its payload size and reference count. The garbage collector's
+// mark-and-sweep pass consumes it.
 type ChunkInfo struct {
-	ID    chunk.ID
-	Size  int64
-	Refs  int
-	Epoch uint64
+	ID   chunk.ID
+	Size int64
+	Refs int
 }
 
 // LifecycleStore is the optional Store extension the storage-lifecycle
-// subsystem (internal/gc) sweeps through: paginated epoch-tagged chunk
-// listing and wholesale purge. Epochs implement write-in-progress
-// protection: the sweeper advances the epoch before marking, then only
-// reclaims unreferenced chunks whose tag is old enough that no
-// unpublished writer can still be about to publish them.
+// subsystem (internal/gc) sweeps through: paginated chunk listing and
+// wholesale purge. Write-in-progress protection is not the store's
+// concern: the provider's writer-lease table guards unpublished chunks.
 type LifecycleStore interface {
 	Store
 	// List returns up to limit chunks with ID strictly greater than
@@ -75,11 +72,6 @@ type LifecycleStore interface {
 	// returning the payload bytes freed. Purging an absent chunk is not
 	// an error (sweeps race with regular deletes); it frees 0 bytes.
 	Purge(id chunk.ID) (int64, error)
-	// Epoch returns the current sweep epoch.
-	Epoch() uint64
-	// AdvanceEpoch moves to the next sweep epoch and returns it;
-	// subsequent Puts are tagged with the new epoch.
-	AdvanceEpoch() uint64
 }
 
 // memStripes is the number of lock stripes in a MemStore. Chunk IDs are
@@ -90,11 +82,10 @@ const memStripes = 32
 // index shadows the data map's key set in sorted order (maintained on
 // Put/Delete/Purge) so List pages without rescanning the stripe.
 type memStripe struct {
-	mu     sync.Mutex
-	data   map[chunk.ID][]byte
-	refs   map[chunk.ID]int
-	epochs map[chunk.ID]uint64
-	index  idIndex
+	mu    sync.Mutex
+	data  map[chunk.ID][]byte
+	refs  map[chunk.ID]int
+	index idIndex
 }
 
 // MemStore is an in-memory, reference-counted Store with a byte-capacity
@@ -107,7 +98,6 @@ type MemStore struct {
 	capacity int64
 	used     atomic.Int64
 	count    atomic.Int64
-	epoch    atomic.Uint64
 	stripes  [memStripes]memStripe
 }
 
@@ -118,7 +108,6 @@ func NewMemStore(capacity int64) *MemStore {
 	for i := range s.stripes {
 		s.stripes[i].data = make(map[chunk.ID][]byte)
 		s.stripes[i].refs = make(map[chunk.ID]int)
-		s.stripes[i].epochs = make(map[chunk.ID]uint64)
 	}
 	return s
 }
@@ -135,9 +124,6 @@ func (s *MemStore) Put(id chunk.ID, data []byte) error {
 	defer st.mu.Unlock()
 	if _, ok := st.data[id]; ok {
 		st.refs[id]++
-		// A re-put means a writer is actively using the chunk again:
-		// refresh the epoch tag so the sweep's grace window protects it.
-		st.epochs[id] = s.epoch.Load()
 		return nil
 	}
 	// Reserve the bytes first; undo on overflow. Concurrent puts may
@@ -149,7 +135,6 @@ func (s *MemStore) Put(id chunk.ID, data []byte) error {
 	}
 	st.data[id] = append([]byte(nil), data...)
 	st.refs[id] = 1
-	st.epochs[id] = s.epoch.Load()
 	st.index.insert(id)
 	s.count.Add(1)
 	return nil
@@ -189,7 +174,6 @@ func (s *MemStore) Delete(id chunk.ID) error {
 		s.count.Add(-1)
 		delete(st.data, id)
 		delete(st.refs, id)
-		delete(st.epochs, id)
 		st.index.remove(id)
 	}
 	return nil
@@ -211,7 +195,6 @@ func (s *MemStore) Purge(id chunk.ID) (int64, error) {
 	s.count.Add(-1)
 	delete(st.data, id)
 	delete(st.refs, id)
-	delete(st.epochs, id)
 	st.index.remove(id)
 	return n, nil
 }
@@ -236,7 +219,7 @@ func (s *MemStore) List(after chunk.ID, limit int) ([]ChunkInfo, bool) {
 		st := &s.stripes[b%memStripes]
 		st.mu.Lock()
 		for _, id := range st.index.pageByte(byte(b), after, want-len(out)) {
-			out = append(out, ChunkInfo{ID: id, Size: int64(len(st.data[id])), Refs: st.refs[id], Epoch: st.epochs[id]})
+			out = append(out, ChunkInfo{ID: id, Size: int64(len(st.data[id])), Refs: st.refs[id]})
 		}
 		st.mu.Unlock()
 	}
@@ -245,12 +228,6 @@ func (s *MemStore) List(after chunk.ID, limit int) ([]ChunkInfo, bool) {
 	}
 	return out, false
 }
-
-// Epoch implements LifecycleStore.
-func (s *MemStore) Epoch() uint64 { return s.epoch.Load() }
-
-// AdvanceEpoch implements LifecycleStore.
-func (s *MemStore) AdvanceEpoch() uint64 { return s.epoch.Add(1) }
 
 // Has reports whether the chunk is present.
 func (s *MemStore) Has(id chunk.ID) bool {
@@ -538,11 +515,10 @@ func (p *Provider) ListChunks(ctx context.Context, after chunk.ID, limit int) ([
 // PurgeChunks frees the given chunks wholesale (refcounts ignored),
 // returning how many were present and the bytes freed. Only the
 // garbage collector's sweep — which has proven the chunks unreferenced —
-// may call it. Chunks protected by a live writer lease are skipped
-// (belt and suspenders: the sweep also classifies them out), and each
-// purge is ordered against racing lease registrations so a re-put under
-// a fresh lease can never be eaten by an already-classified victim's
-// purge.
+// may call it. Chunks named by any writer lease still in the table are
+// skipped (the sweep also classifies them out), and each purge is
+// ordered against racing lease registrations so a re-put under a fresh
+// lease can never be eaten by an already-classified victim's purge.
 func (p *Provider) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64, error) {
 	if err := p.begin(ctx); err != nil {
 		return 0, 0, err
@@ -555,7 +531,7 @@ func (p *Provider) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64,
 	var purged int
 	var freed int64
 	for _, id := range ids {
-		n, err := p.leases.purge(id, p.now(), func() (int64, error) { return ls.Purge(id) })
+		n, err := p.leases.purge(id, func() (int64, error) { return ls.Purge(id) })
 		if err != nil {
 			return purged, freed, err
 		}
@@ -576,24 +552,6 @@ func (p *Provider) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64,
 		})
 	}
 	return purged, freed, nil
-}
-
-// AdvanceEpoch moves the store to the next sweep epoch and returns it.
-func (p *Provider) AdvanceEpoch() (uint64, error) {
-	ls, err := p.lifecycle()
-	if err != nil {
-		return 0, err
-	}
-	return ls.AdvanceEpoch(), nil
-}
-
-// Epoch returns the store's current sweep epoch.
-func (p *Provider) Epoch() (uint64, error) {
-	ls, err := p.lifecycle()
-	if err != nil {
-		return 0, err
-	}
-	return ls.Epoch(), nil
 }
 
 // Has reports whether the provider holds the chunk.

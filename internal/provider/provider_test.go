@@ -330,8 +330,8 @@ func TestMemStoreUsedInvariant(t *testing.T) {
 	}
 }
 
-// TestMemStoreLifecycle covers the sweep surface: epoch tagging on Put
-// and re-Put, paginated listing in ID order, and wholesale purge that
+// TestMemStoreLifecycle covers the sweep surface: refcounts on Put and
+// re-Put, paginated listing in ID order, and wholesale purge that
 // ignores refcounts.
 func TestMemStoreLifecycle(t *testing.T) {
 	s := NewMemStore(0)
@@ -343,9 +343,6 @@ func TestMemStoreLifecycle(t *testing.T) {
 		if err := s.Put(id, data); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if e := s.Epoch(); e != 0 {
-		t.Fatalf("initial epoch = %d", e)
 	}
 
 	// Pages in ascending ID order, resumable, no dup/no skip.
@@ -362,7 +359,7 @@ func TestMemStoreLifecycle(t *testing.T) {
 		}
 		for _, ci := range page {
 			got = append(got, ci.ID)
-			if ci.Epoch != 0 || ci.Refs != 1 || ci.Size != 2 {
+			if ci.Refs != 1 || ci.Size != 2 {
 				t.Fatalf("chunk info = %+v", ci)
 			}
 		}
@@ -377,24 +374,13 @@ func TestMemStoreLifecycle(t *testing.T) {
 		t.Fatalf("listed %d chunks over %d pages, want 5 over 3", len(got), pages)
 	}
 
-	// Advancing the epoch tags later puts; a re-put refreshes the tag.
-	if e := s.AdvanceEpoch(); e != 1 {
-		t.Fatalf("epoch after advance = %d", e)
-	}
-	if err := s.Put(ids[0], []byte{0, 0}); err != nil { // re-put: ref 2, epoch 1
+	if err := s.Put(ids[0], []byte{0, 0}); err != nil { // re-put: ref 2
 		t.Fatal(err)
 	}
 	page, _ := s.List(chunk.ID{}, 100)
 	for _, ci := range page {
-		switch ci.ID {
-		case ids[0]:
-			if ci.Refs != 2 || ci.Epoch != 1 {
-				t.Fatalf("re-put chunk info = %+v, want refs 2 epoch 1", ci)
-			}
-		default:
-			if ci.Epoch != 0 {
-				t.Fatalf("untouched chunk got epoch %d", ci.Epoch)
-			}
+		if ci.ID == ids[0] && ci.Refs != 2 {
+			t.Fatalf("re-put chunk info = %+v, want refs 2", ci)
 		}
 	}
 
@@ -432,12 +418,6 @@ func TestProviderLifecycleSurface(t *testing.T) {
 	if err != nil || more || len(page) != 3 {
 		t.Fatalf("ListChunks = %d chunks more=%v err=%v", len(page), more, err)
 	}
-	if e, err := p.Epoch(); err != nil || e != 0 {
-		t.Fatalf("epoch = %d, %v", e, err)
-	}
-	if e, err := p.AdvanceEpoch(); err != nil || e != 1 {
-		t.Fatalf("advance = %d, %v", e, err)
-	}
 	purged, freed, err := p.PurgeChunks(ctx, ids[:2])
 	if err != nil || purged != 2 || freed != 6 {
 		t.Fatalf("purge = %d chunks %d bytes, %v", purged, freed, err)
@@ -452,9 +432,6 @@ func TestProviderLifecycleSurface(t *testing.T) {
 	// A store without lifecycle support gates cleanly.
 	plain := New("p2", "z", 0, WithStore(plainStore{Store: NewMemStore(0)}))
 	if _, _, err := plain.ListChunks(ctx, chunk.ID{}, 10); !errors.Is(err, ErrNoLifecycle) {
-		t.Fatalf("want ErrNoLifecycle, got %v", err)
-	}
-	if _, err := plain.AdvanceEpoch(); !errors.Is(err, ErrNoLifecycle) {
 		t.Fatalf("want ErrNoLifecycle, got %v", err)
 	}
 }

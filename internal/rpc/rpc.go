@@ -72,11 +72,6 @@ type PurgeReply struct {
 	Freed  int64
 }
 
-// EpochReply carries a provider's sweep epoch.
-type EpochReply struct {
-	Epoch uint64
-}
-
 // LeaseChunksArgs is the wire form of a writer-lease registration or
 // renewal (nil IDs = pure heartbeat).
 type LeaseChunksArgs struct {
@@ -169,21 +164,6 @@ func (s *ProviderService) Purge(args *PurgeArgs, reply *PurgeReply) error {
 	defer cancel()
 	purged, freed, err := s.P.PurgeChunks(ctx, args.IDs)
 	reply.Purged, reply.Freed = purged, freed
-	return err
-}
-
-// AdvanceEpoch moves the provider to the next sweep epoch.
-func (s *ProviderService) AdvanceEpoch(_ *struct{}, reply *EpochReply) error {
-	e, err := s.P.AdvanceEpoch()
-	reply.Epoch = e
-	return err
-}
-
-// Epoch reports the provider's current sweep epoch without advancing it
-// (dry-run sweeps classify against it).
-func (s *ProviderService) Epoch(_ *struct{}, reply *EpochReply) error {
-	e, err := s.P.Epoch()
-	reply.Epoch = e
 	return err
 }
 
@@ -516,24 +496,6 @@ func (c *Conn) Purge(ctx context.Context, ids []chunk.ID) (int, int64, error) {
 		return 0, 0, err
 	}
 	return reply.Purged, reply.Freed, nil
-}
-
-// AdvanceEpoch moves the remote provider to the next sweep epoch.
-func (c *Conn) AdvanceEpoch(ctx context.Context) (uint64, error) {
-	var reply EpochReply
-	if err := c.call(ctx, "Provider.AdvanceEpoch", &struct{}{}, &reply); err != nil {
-		return 0, err
-	}
-	return reply.Epoch, nil
-}
-
-// Epoch reads the remote provider's current sweep epoch.
-func (c *Conn) Epoch(ctx context.Context) (uint64, error) {
-	var reply EpochReply
-	if err := c.call(ctx, "Provider.Epoch", &struct{}{}, &reply); err != nil {
-		return 0, err
-	}
-	return reply.Epoch, nil
 }
 
 // LeaseChunks implements client.ChunkLeaser over the wire: a writer's

@@ -164,7 +164,7 @@ func TestDirectoryRegisterReplaces(t *testing.T) {
 }
 
 // TestLifecycleRPCs round-trips the sweep surface over TCP: paginated
-// chunk listing, epoch advance and bulk purge.
+// chunk listing and bulk purge.
 func TestLifecycleRPCs(t *testing.T) {
 	p, srv := startProvider(t, "p1")
 	conn, err := Dial(srv.Addr())
@@ -205,11 +205,6 @@ func TestLifecycleRPCs(t *testing.T) {
 	}
 	if len(got) != 5 {
 		t.Fatalf("listed %d chunks over rpc, want 5", len(got))
-	}
-
-	e, err := conn.AdvanceEpoch(bg)
-	if err != nil || e != 1 {
-		t.Fatalf("advance epoch over rpc = %d, %v", e, err)
 	}
 
 	purged, freed, err := conn.Purge(bg, ids[:3])

@@ -862,7 +862,7 @@ func (r *failAfterReader) Read(p []byte) (int, error) {
 // waiting out any TTL.
 func TestAbandonedPutDrainsLeases(t *testing.T) {
 	cluster, err := core.NewCluster(core.Options{
-		Providers: 2, Monitoring: false, GCGraceEpochs: -1,
+		Providers: 2, Monitoring: false,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,8 +27,6 @@ type Pool interface {
 	Fetch(ctx context.Context, providerID string, id chunk.ID) ([]byte, error)
 	// Store writes a chunk replica to a provider.
 	Store(ctx context.Context, providerID string, id chunk.ID, data []byte) error
-	// Remove drops one reference of a chunk from a provider.
-	Remove(ctx context.Context, providerID string, id chunk.ID) error
 	// Alive reports whether a provider is usable.
 	Alive(providerID string) bool
 }
@@ -126,7 +124,9 @@ func (r *Replicator) TargetDegree(blob uint64) int {
 // Scan walks the latest version of every BLOB, re-replicating chunks
 // whose live replica count is below the target degree. Repairs are
 // published as a new metadata version per BLOB (chunks are immutable, so
-// repair means new descriptors, not data rewrites).
+// repair means new descriptors, not data rewrites) through
+// vmanager.PublishRepair, which drops any repaired slot a concurrent
+// write has overwritten since the walk.
 func (r *Replicator) Scan(now time.Time) (RepairReport, error) {
 	return r.ScanContext(context.Background(), now) //ctxfirst:allow compat wrapper; ctx-aware callers use ScanContext
 }
@@ -208,7 +208,7 @@ func (r *Replicator) ScanContext(ctx context.Context, now time.Time) (RepairRepo
 			}
 			continue
 		}
-		if err := r.vm.Publish(blob, tk.Version, "selfopt", writes); err != nil && firstErr == nil {
+		if err := r.vm.PublishRepair(blob, tk.Version, "selfopt", writes); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		r.emit.Emit(instrument.Event{
@@ -337,42 +337,31 @@ func (s TemporaryStrategy) Candidates(now time.Time) []uint64 {
 // BlobDeleter routes BLOB deletion through the storage-lifecycle layer
 // (internal/gc): reader pins are honoured (reclaim of a pinned version
 // is deferred, not dropped) and healed descriptors reclaim through the
-// sweep instead of the legacy per-descriptor decrements.
+// sweep. *gc.Manager implements it.
 type BlobDeleter interface {
 	DeleteBlob(ctx context.Context, blob uint64) error
 }
 
-// Reaper applies removal strategies: it deletes nominated BLOBs from the
-// version manager and reclaims their chunks from providers — directly,
-// or through a BlobDeleter when one is routed in.
+// Reaper applies removal strategies: it deletes the nominated BLOBs
+// through a BlobDeleter, which owns their chunk reclaim.
 type Reaper struct {
-	vm         *vmanager.Manager
-	pool       Pool
+	deleter    BlobDeleter
 	strategies []Strategy
 	emit       instrument.Emitter
-	deleter    BlobDeleter
 
 	mu      sync.Mutex
 	removed []uint64
 }
 
-// NewReaper returns a reaper over the given strategies.
-func NewReaper(vm *vmanager.Manager, pool Pool, emit instrument.Emitter, strategies ...Strategy) *Reaper {
+// NewReaper returns a reaper deleting through d over the given
+// strategies (core.Cluster.NewReaper wires the cluster's lifecycle
+// manager).
+func NewReaper(d BlobDeleter, emit instrument.Emitter, strategies ...Strategy) *Reaper {
 	if emit == nil {
 		emit = instrument.Nop{}
 	}
-	return &Reaper{vm: vm, pool: pool, strategies: strategies, emit: emit}
+	return &Reaper{deleter: d, strategies: strategies, emit: emit}
 }
-
-// RouteDeletes makes the reaper delete through d instead of the legacy
-// vmanager.Delete + per-descriptor removal path. The legacy path
-// under-reclaims BLOBs with repeated or healed (republished) chunks,
-// ignores reader pins, and issues refcount decrements unserialized
-// against gc sweeps — on a cluster running a gc.Runner it MUST NOT be
-// used (its decrements can race a wholesale purge and debit an
-// unrelated writer's fresh chunk). Use core.Cluster.NewReaper, which
-// routes automatically.
-func (r *Reaper) RouteDeletes(d BlobDeleter) { r.deleter = d }
 
 // Run performs one reaping pass, returning the BLOBs removed.
 func (r *Reaper) Run(now time.Time) ([]uint64, error) {
@@ -402,33 +391,14 @@ func (r *Reaper) RunContext(ctx context.Context, now time.Time) ([]uint64, error
 			}
 			break
 		}
-		if r.deleter != nil {
-			if err := r.deleter.DeleteBlob(ctx, blob); err != nil {
-				if errors.Is(err, vmanager.ErrDeleted) {
-					continue
-				}
-				if firstErr == nil {
-					firstErr = err
-				}
+		if err := r.deleter.DeleteBlob(ctx, blob); err != nil {
+			if errors.Is(err, vmanager.ErrDeleted) {
 				continue
 			}
-		} else {
-			descs, err := r.vm.Delete(blob)
-			if err != nil {
-				if errors.Is(err, vmanager.ErrDeleted) {
-					continue
-				}
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
+			if firstErr == nil {
+				firstErr = err
 			}
-			for _, d := range descs {
-				for _, p := range d.Providers {
-					// Best effort: dead providers keep stale chunks.
-					_ = r.pool.Remove(ctx, p, d.ID)
-				}
-			}
+			continue
 		}
 		removed = append(removed, blob)
 		r.emit.Emit(instrument.Event{

@@ -288,13 +288,36 @@ func TestTemporaryStrategy(t *testing.T) {
 	}
 }
 
+// fakeDeleter deletes a BLOB from the version manager and drops one
+// reference per distinct descriptor replica, standing in for the
+// lifecycle manager's DeleteBlob.
+type fakeDeleter struct {
+	vm   *vmanager.Manager
+	pool *testPool
+}
+
+func (d fakeDeleter) DeleteBlob(ctx context.Context, blob uint64) error {
+	descs, err := d.vm.Delete(blob)
+	if err != nil {
+		return err
+	}
+	for _, desc := range descs {
+		for _, p := range desc.Providers {
+			if err := d.pool.Remove(ctx, p, desc.ID); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 func TestReaperRemovesAndReclaims(t *testing.T) {
 	r := newRig(t, 3)
 	blob := r.writeBlob(t, []byte("dead-data"), []string{"p00", "p01"})
 	r.in.ObserveClientEvent(instrument.Event{
 		Time: t0, Actor: instrument.ActorClient, Op: instrument.OpWrite, Blob: blob, User: "u", Bytes: 9,
 	})
-	reaper := NewReaper(r.vm, r.pool, nil, TTLStrategy{In: r.in, TTL: time.Minute})
+	reaper := NewReaper(fakeDeleter{r.vm, r.pool}, nil, TTLStrategy{In: r.in, TTL: time.Minute})
 	removed, err := reaper.Run(t0.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +350,7 @@ func TestReaperMergesStrategies(t *testing.T) {
 	})
 	// Two strategies nominating the same blob must delete it once.
 	s := TTLStrategy{In: r.in, TTL: time.Second}
-	reaper := NewReaper(r.vm, r.pool, nil, s, s)
+	reaper := NewReaper(fakeDeleter{r.vm, r.pool}, nil, s, s)
 	removed, err := reaper.Run(t0.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)

@@ -244,9 +244,9 @@ func (p *PartitionedConn) ReleaseLease(ctx context.Context, leaseID string) erro
 
 // FlakyStore wraps a provider.LifecycleStore, failing Put/Get/Delete/
 // Purge with the injector's probability — the provider-side counterpart
-// of FlakyConn, pluggable via core.Options.ProviderStore. Listing and
-// epochs stay reliable: a flaky List would make the GC abort every
-// pass, which is the fail-safe behaviour other tests cover directly.
+// of FlakyConn, pluggable via core.Options.ProviderStore. Listing stays
+// reliable: a flaky List would make the GC abort every pass, which is
+// the fail-safe behaviour other tests cover directly.
 type FlakyStore struct {
 	provider.LifecycleStore
 	Inj *Injector
@@ -486,24 +486,6 @@ func (c *CrashStore) Purge(id chunk.ID) (int64, error) {
 		return 0, ErrCrashed
 	}
 	return st.Purge(id)
-}
-
-// Epoch reports 0 while crashed.
-func (c *CrashStore) Epoch() uint64 {
-	st := c.store()
-	if st == nil {
-		return 0
-	}
-	return st.Epoch()
-}
-
-// AdvanceEpoch is a no-op reporting 0 while crashed.
-func (c *CrashStore) AdvanceEpoch() uint64 {
-	st := c.store()
-	if st == nil {
-		return 0
-	}
-	return st.AdvanceEpoch()
 }
 
 // Interface checks: the Conn wrappers must carry the lease extension,

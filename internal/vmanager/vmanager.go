@@ -74,6 +74,7 @@ type Ticket struct {
 type pendingPub struct {
 	writes map[int64]chunk.Desc
 	writer string
+	repair bool // see PublishRepair
 }
 
 type blobState struct {
@@ -295,6 +296,21 @@ func (m *Manager) assign(blob uint64, user string, offset, length int64, isAppen
 // version becomes visible once all predecessors have been published;
 // until then it is queued. writes maps chunk index → descriptor.
 func (m *Manager) Publish(blob uint64, version uint64, writer string, writes map[int64]chunk.Desc) error {
+	return m.publish(blob, version, pendingPub{writes: writes, writer: writer})
+}
+
+// PublishRepair is Publish for a replica repair, whose writes re-state
+// slots with the chunk IDs a repairer walked and a new provider list.
+// It is checked when applied, against the version directly beneath it:
+// a slot whose chunk ID changed since the walk is dropped, so a write
+// published in between is never reverted by the repair's stale
+// descriptor. The version is applied even if every slot is dropped.
+func (m *Manager) PublishRepair(blob uint64, version uint64, writer string, writes map[int64]chunk.Desc) error {
+	return m.publish(blob, version, pendingPub{writes: writes, writer: writer, repair: true})
+}
+
+func (m *Manager) publish(blob uint64, version uint64, pub pendingPub) error {
+	writer := pub.writer
 	m.mu.Lock()
 	st, err := m.state(blob)
 	if err != nil {
@@ -313,7 +329,7 @@ func (m *Manager) Publish(blob uint64, version uint64, writer string, writes map
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrDoublePublish, version)
 	}
-	st.queued[version] = pendingPub{writes: writes, writer: writer}
+	st.queued[version] = pub
 	published, err := m.drainLocked(st)
 	m.mu.Unlock()
 	for _, v := range published {
@@ -341,7 +357,14 @@ func (m *Manager) drainLocked(st *blobState) ([]uint64, error) {
 		if !ok {
 			return published, nil
 		}
-		if err := st.tree.Write(next, st.applied, pub.writes); err != nil {
+		writes := pub.writes
+		if pub.repair {
+			var err error
+			if writes, err = unchangedSlots(st.tree, st.applied, writes); err != nil {
+				return published, err
+			}
+		}
+		if err := st.tree.Write(next, st.applied, writes); err != nil {
 			return published, err
 		}
 		delete(st.queued, next)
@@ -356,6 +379,22 @@ func (m *Manager) drainLocked(st *blobState) ([]uint64, error) {
 		st.applied = next
 		published = append(published, next)
 	}
+}
+
+// unchangedSlots keeps the repair writes whose slot in version base
+// still holds the same chunk ID.
+func unchangedSlots(tree *blobmeta.Tree, base uint64, writes map[int64]chunk.Desc) (map[int64]chunk.Desc, error) {
+	kept := make(map[int64]chunk.Desc, len(writes))
+	for idx, d := range writes {
+		cur, _, err := tree.DescAt(base, idx)
+		if err != nil {
+			return nil, err
+		}
+		if cur.ID == d.ID {
+			kept[idx] = d
+		}
+	}
+	return kept, nil
 }
 
 // Latest returns the newest published version's metadata.
@@ -397,6 +436,26 @@ func (m *Manager) Versions(blob uint64) ([]VersionMeta, error) {
 		out = append(out, vm)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Version < out[j].Version })
+	return out, nil
+}
+
+// QueuedChunks lists the chunk IDs named by the publications queued
+// behind an unpublished predecessor. No tree references them until the
+// queue drains, but their writers were told the write succeeded, so the
+// GC's mark keeps them live.
+func (m *Manager) QueuedChunks(blob uint64) ([]chunk.ID, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st, err := m.state(blob)
+	if err != nil {
+		return nil, err
+	}
+	var out []chunk.ID
+	for _, pub := range st.queued {
+		for _, d := range pub.writes {
+			out = append(out, d.ID)
+		}
+	}
 	return out, nil
 }
 

@@ -550,3 +550,49 @@ func TestHoldVersionBlocksRetire(t *testing.T) {
 	// blob may have been deleted under the writer).
 	m.ReleaseVersion(999, 1)
 }
+
+// TestPublishRepairSkipsOverwrittenSlots: a repair queued behind a
+// concurrent write is checked against the version directly beneath it
+// when applied. Slots the write left alone take the repaired
+// descriptor; a slot it overwrote keeps the write's chunk.
+func TestPublishRepairSkipsOverwrittenSlots(t *testing.T) {
+	m := newMgr(t)
+	info, _ := m.Create("alice", 64, false)
+	tk, _ := m.AssignWrite(info.ID, "alice", 0, 128)
+	if err := m.Publish(info.ID, tk.Version, "alice", map[int64]chunk.Desc{0: desc("a0"), 1: desc("a1")}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A repairer walked v1; a client overwrite of slot 0 is assigned
+	// first but publishes only after the repair, so the repair queues
+	// behind it.
+	w, _ := m.AssignWrite(info.ID, "bob", 0, 64)
+	rtk, _ := m.AssignWrite(info.ID, "selfopt", 0, 0)
+	healed := func(tag string) chunk.Desc {
+		d := desc(tag)
+		d.Providers = []string{"p1", "p2"}
+		return d
+	}
+	if err := m.PublishRepair(info.ID, rtk.Version, "selfopt", map[int64]chunk.Desc{0: healed("a0"), 1: healed("a1")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Publish(info.ID, w.Version, "bob", map[int64]chunk.Desc{0: desc("b0")}); err != nil {
+		t.Fatal(err)
+	}
+
+	latest, err := m.Latest(info.ID)
+	if err != nil || latest.Version != rtk.Version || latest.Size != 128 {
+		t.Fatalf("latest = %+v, %v; want v%d size 128", latest, err, rtk.Version)
+	}
+	tree, _ := m.Tree(info.ID)
+	got, err := tree.Read(latest.Version, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].ID != desc("b0").ID || len(got[0].Providers) != 1 {
+		t.Fatalf("slot 0 = %+v, want the overwrite kept", got[0])
+	}
+	if got[1].ID != desc("a1").ID || len(got[1].Providers) != 2 {
+		t.Fatalf("slot 1 = %+v, want the repaired descriptor", got[1])
+	}
+}
