@@ -33,13 +33,14 @@ import (
 // BenchmarkExpA_Visualization renders the EXP-A dashboard over a live
 // introspected cluster.
 func BenchmarkExpA_Visualization(b *testing.B) {
+	ctx := context.Background()
 	cluster, err := core.NewCluster(core.Options{Providers: 8, Monitoring: true, AgentBatch: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	cl := cluster.Client("alice")
-	info, _ := cl.Create(4 << 10)
-	if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte("v"), 64<<10)); err != nil {
+	info, _ := cl.CreateContext(ctx, 4<<10)
+	if _, err := cl.WriteContext(ctx, info.ID, 0, bytes.Repeat([]byte("v"), 64<<10)); err != nil {
 		b.Fatal(err)
 	}
 	cluster.Tick(time.Now())
@@ -196,7 +197,7 @@ func BenchmarkDD1_Elasticity(b *testing.B) {
 // BenchmarkDD2_Replication runs the repair-after-failure experiment.
 func BenchmarkDD2_Replication(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.DD2(experiments.Scale{Quick: true})
+		t := experiments.DD2(context.Background(), experiments.Scale{Quick: true})
 		if len(t.Rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -323,17 +324,18 @@ func BenchmarkHistoryAppendScan(b *testing.B) {
 }
 
 func BenchmarkClientWriteRealPlane(b *testing.B) {
+	ctx := context.Background()
 	cluster, err := core.NewCluster(core.Options{Providers: 4, Monitoring: false})
 	if err != nil {
 		b.Fatal(err)
 	}
 	cl := cluster.Client("bench")
-	info, _ := cl.Create(64 << 10)
+	info, _ := cl.CreateContext(ctx, 64<<10)
 	payload := bytes.Repeat([]byte("w"), 256<<10)
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cl.Write(info.ID, 0, payload); err != nil {
+		if _, err := cl.WriteContext(ctx, info.ID, 0, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -424,6 +426,7 @@ var benchPlanes = []struct {
 // forces the edge-chunk merge. The plane × replicas × workers grid
 // shows the win of the parallel data path over serial replica pushes.
 func BenchmarkClientWriteReplicated(b *testing.B) {
+	ctx := context.Background()
 	for _, plane := range benchPlanes {
 		for _, replicas := range []int{1, 3} {
 			for _, workers := range []int{1, 8} {
@@ -438,12 +441,12 @@ func BenchmarkClientWriteReplicated(b *testing.B) {
 					cl := client.New("bench", cluster.VM, cluster.PM,
 						delayDir{cluster, plane.rtt},
 						client.WithReplicas(replicas), client.WithWorkers(workers))
-					info, _ := cl.Create(64 << 10)
+					info, _ := cl.CreateContext(ctx, 64<<10)
 					payload := bytes.Repeat([]byte("w"), 512<<10)
 					b.SetBytes(int64(len(payload)))
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, err := cl.Write(info.ID, 37, payload); err != nil {
+						if _, err := cl.WriteContext(ctx, info.ID, 37, payload); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -458,6 +461,7 @@ func BenchmarkClientWriteReplicated(b *testing.B) {
 // assembly, the striped provider store and, when enabled, hedged
 // replica fetches.
 func BenchmarkClientReadParallel(b *testing.B) {
+	ctx := context.Background()
 	for _, plane := range benchPlanes {
 		for _, hedged := range []bool{false, true} {
 			for _, workers := range []int{1, 8} {
@@ -470,9 +474,9 @@ func BenchmarkClientReadParallel(b *testing.B) {
 						b.Fatal(err)
 					}
 					wr := cluster.Client("bench")
-					info, _ := wr.Create(64 << 10)
+					info, _ := wr.CreateContext(ctx, 64<<10)
 					payload := bytes.Repeat([]byte("r"), 1<<20)
-					if _, err := wr.Write(info.ID, 0, payload); err != nil {
+					if _, err := wr.WriteContext(ctx, info.ID, 0, payload); err != nil {
 						b.Fatal(err)
 					}
 					b.SetBytes(int64(len(payload)))
@@ -482,7 +486,7 @@ func BenchmarkClientReadParallel(b *testing.B) {
 							delayDir{cluster, plane.rtt},
 							client.WithWorkers(workers), client.WithHedgedReads(hedged))
 						for pb.Next() {
-							got, err := cl.Read(info.ID, 0, 0, int64(len(payload)))
+							got, err := cl.ReadContext(ctx, info.ID, 0, 0, int64(len(payload)))
 							if err != nil {
 								b.Fatal(err)
 							}
@@ -541,12 +545,13 @@ func BenchmarkMaxMinReshape(b *testing.B) {
 	}
 }
 
-// BenchmarkClientStreamWrite compares the buffered compatibility Write
+// BenchmarkClientStreamWrite compares the buffered WriteContext
 // (whole payload handed over at once) with the streaming BlobWriter
 // (chunk slots flushed in the background while later bytes arrive) on
 // both planes. On the modeled LAN plane the streaming path overlaps the
 // per-chunk store round trips with payload delivery.
 func BenchmarkClientStreamWrite(b *testing.B) {
+	ctx := context.Background()
 	for _, plane := range benchPlanes {
 		// The stream+metrics mode is the instrumented data path: same
 		// streaming writer with every latency histogram and byte counter
@@ -565,9 +570,8 @@ func BenchmarkClientStreamWrite(b *testing.B) {
 				}
 				cl := client.New("bench", cluster.VM, cluster.PM,
 					delayDir{cluster, plane.rtt}, copts...)
-				info, _ := cl.Create(64 << 10)
+				info, _ := cl.CreateContext(ctx, 64<<10)
 				payload := bytes.Repeat([]byte("w"), 1<<20)
-				ctx := context.Background()
 				blob, err := cl.Open(ctx, info.ID)
 				if err != nil {
 					b.Fatal(err)
@@ -577,7 +581,7 @@ func BenchmarkClientStreamWrite(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if mode == "buffered" {
-						if _, err := cl.Write(info.ID, 0, payload); err != nil {
+						if _, err := cl.WriteContext(ctx, info.ID, 0, payload); err != nil {
 							b.Fatal(err)
 						}
 						continue
@@ -603,12 +607,13 @@ func BenchmarkClientStreamWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkClientStreamRead compares the buffered compatibility Read
+// BenchmarkClientStreamRead compares the buffered ReadContext
 // (whole range materialized) with the streaming BlobReader drained via
 // WriteTo into a discard sink — the S3 GET shape. The streaming path
 // never allocates the full object and pipelines chunk fetches ahead of
 // the consumer.
 func BenchmarkClientStreamRead(b *testing.B) {
+	ctx := context.Background()
 	for _, plane := range benchPlanes {
 		// stream+metrics = the same streaming read with the full metrics
 		// registry attached (fetch/stall histograms, byte counters): the
@@ -621,9 +626,9 @@ func BenchmarkClientStreamRead(b *testing.B) {
 					b.Fatal(err)
 				}
 				wr := cluster.Client("bench")
-				info, _ := wr.Create(64 << 10)
+				info, _ := wr.CreateContext(ctx, 64<<10)
 				payload := bytes.Repeat([]byte("r"), 1<<20)
-				if _, err := wr.Write(info.ID, 0, payload); err != nil {
+				if _, err := wr.WriteContext(ctx, info.ID, 0, payload); err != nil {
 					b.Fatal(err)
 				}
 				copts := []client.Option{client.WithWorkers(8), client.WithPrefetch(8)}
@@ -633,7 +638,6 @@ func BenchmarkClientStreamRead(b *testing.B) {
 				}
 				cl := client.New("bench", cluster.VM, cluster.PM,
 					delayDir{cluster, plane.rtt}, copts...)
-				ctx := context.Background()
 				blob, err := cl.Open(ctx, info.ID)
 				if err != nil {
 					b.Fatal(err)
@@ -643,7 +647,7 @@ func BenchmarkClientStreamRead(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if mode == "buffered" {
-						got, err := cl.Read(info.ID, 0, 0, int64(len(payload)))
+						got, err := cl.ReadContext(ctx, info.ID, 0, 0, int64(len(payload)))
 						if err != nil || len(got) != len(payload) {
 							b.Fatalf("read: %d bytes err=%v", len(got), err)
 						}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -32,7 +33,8 @@ func main() {
 	runners := map[string]func(experiments.Scale) *experiments.Table{
 		"B": experiments.ExpB, "C1": experiments.ExpC1, "C2": experiments.ExpC2,
 		"C3": experiments.ExpC3, "D": experiments.ExpD,
-		"DD1": experiments.DD1, "DD2": experiments.DD2, "DD3": experiments.DD3,
+		"DD1": experiments.DD1, "DD3": experiments.DD3,
+		"DD2": func(s experiments.Scale) *experiments.Table { return experiments.DD2(context.Background(), s) },
 		"AB1": experiments.AB1, "AB2": experiments.AB2, "AB3": experiments.AB3,
 	}
 	order := []string{"A", "B", "C1", "C2", "C3", "D", "DD1", "DD2", "DD3", "AB1", "AB2", "AB3"}
@@ -65,6 +67,7 @@ func main() {
 // expA renders the EXP-A visualization demo: a small live cluster with a
 // mixed workload, displayed through the introspection dashboard.
 func expA() {
+	ctx := context.Background()
 	cluster, err := core.NewCluster(core.Options{
 		Providers: 8, Monitoring: true, AgentBatch: 1, Replicas: 2,
 	})
@@ -75,18 +78,18 @@ func expA() {
 	users := []string{"alice", "bob", "carol"}
 	for i, u := range users {
 		cl := cluster.Client(u)
-		info, err := cl.Create(4 << 10)
+		info, err := cl.CreateContext(ctx, 4<<10)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		payload := strings.Repeat(fmt.Sprintf("%s-data-", u), 1000*(i+1))
-		if _, err := cl.Write(info.ID, 0, []byte(payload)); err != nil {
+		if _, err := cl.WriteContext(ctx, info.ID, 0, []byte(payload)); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		for j := 0; j < (i+1)*3; j++ {
-			if _, err := cl.Read(info.ID, 0, 0, 512); err != nil {
+			if _, err := cl.ReadContext(ctx, info.ID, 0, 0, 512); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}

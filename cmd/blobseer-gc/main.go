@@ -134,12 +134,12 @@ func runRunner(providers int, interval time.Duration, metricsListen string) erro
 				return
 			case <-time.After(interval / 2):
 			}
-			info, err := cl.Create(4 << 10)
+			info, err := cl.CreateContext(ctx, 4<<10)
 			if err != nil {
 				continue
 			}
 			copy(data, fmt.Sprintf("churn-%d", i))
-			_, _ = cl.Write(info.ID, 0, data)
+			_, _ = cl.WriteContext(ctx, info.ID, 0, data)
 			if prev != 0 {
 				_ = c.GC.DeleteBlob(ctx, prev)
 			}
@@ -175,6 +175,7 @@ func runRunner(providers int, interval time.Duration, metricsListen string) erro
 // runDemo exercises the whole lifecycle on a small cluster and prints
 // each stage's report.
 func runDemo(providers int, dryRun bool) error {
+	ctx := context.Background()
 	c, err := core.NewCluster(core.Options{
 		Providers: providers, Monitoring: false,
 	})
@@ -182,7 +183,7 @@ func runDemo(providers int, dryRun bool) error {
 		return err
 	}
 	cl := c.Client("admin")
-	info, err := cl.Create(4 << 10)
+	info, err := cl.CreateContext(ctx, 4<<10)
 	if err != nil {
 		return err
 	}
@@ -190,7 +191,7 @@ func runDemo(providers int, dryRun bool) error {
 	// Four versions with overlapping content, under a keep-last-2 policy.
 	for i := 0; i < 4; i++ {
 		data := bytes.Repeat([]byte{byte('a' + i%2)}, 8<<10)
-		if _, err := cl.Write(info.ID, 0, data); err != nil {
+		if _, err := cl.WriteContext(ctx, info.ID, 0, data); err != nil {
 			return err
 		}
 	}
@@ -200,7 +201,6 @@ func runDemo(providers int, dryRun bool) error {
 	fmt.Printf("cluster: %d providers, blob %d with 4 versions, %d chunks stored\n",
 		providers, info.ID, clusterChunks(c))
 
-	ctx := context.Background()
 	ret, err := c.GC.EnforceRetention(ctx, time.Now())
 	if err != nil {
 		return err
@@ -330,7 +330,7 @@ func runObsBench(providers, chunks int) (*obsB, error) {
 		}
 		cl := c.Client("obs")
 		ctx := context.Background()
-		info, err := cl.Create(chunkSize)
+		info, err := cl.CreateContext(ctx, chunkSize)
 		if err != nil {
 			return 0, err
 		}
@@ -404,12 +404,12 @@ func runLargeBench(providers, chunks int) (*sweepB, *latB, error) {
 	payload := make([]byte, 256)
 	delBlobs := make([]uint64, 0, nDel)
 	for i := 0; i < nDel; i++ {
-		info, err := cl.Create(256)
+		info, err := cl.CreateContext(ctx, 256)
 		if err != nil {
 			return nil, nil, err
 		}
 		copy(payload, fmt.Sprintf("del-%d", i))
-		if _, err := cl.Write(info.ID, 0, payload); err != nil {
+		if _, err := cl.WriteContext(ctx, info.ID, 0, payload); err != nil {
 			return nil, nil, err
 		}
 		delBlobs = append(delBlobs, info.ID)
@@ -516,7 +516,7 @@ func runMarkBench(providers, liveChunks, versions int) (*markB, error) {
 	}
 	buf := make([]byte, chunkSize)
 	for b := 0; b < blobs; b++ {
-		info, err := cl.Create(chunkSize)
+		info, err := cl.CreateContext(ctx, chunkSize)
 		if err != nil {
 			return nil, err
 		}
@@ -546,7 +546,7 @@ func runMarkBench(providers, liveChunks, versions int) (*markB, error) {
 			for s := 0; s < window; s++ {
 				copy(over[s*chunkSize:], fmt.Sprintf("mark-%d-v%d-%d", b, v, s))
 			}
-			if _, err := cl.Write(info.ID, off, over); err != nil {
+			if _, err := cl.WriteContext(ctx, info.ID, off, over); err != nil {
 				return nil, err
 			}
 		}
@@ -733,7 +733,7 @@ func runBench(providers, chunks, large, markChunks, markVersions int, out string
 
 	// Live population: half the target, written through the client.
 	live := chunks / 2
-	info, err := cl.Create(chunkSize)
+	info, err := cl.CreateContext(ctx, chunkSize)
 	if err != nil {
 		return err
 	}

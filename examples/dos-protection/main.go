@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A virtual clock lets the demo replay minutes of activity instantly.
 	now := time.Date(2026, 6, 12, 9, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
@@ -37,19 +39,19 @@ policy flood {
 
 	alice := cluster.Client("alice")
 	mallory := cluster.Client("mallory")
-	ab, _ := alice.Create(4 << 10)
-	mb, _ := mallory.Create(4 << 10)
+	ab, _ := alice.CreateContext(ctx, 4<<10)
+	mb, _ := mallory.CreateContext(ctx, 4<<10)
 
 	payload := make([]byte, 8<<10)
 
 	// Alice writes at a civil pace; Mallory floods.
 	for i := 0; i < 600; i++ {
 		if i%20 == 0 {
-			if _, err := alice.Write(ab.ID, 0, payload); err != nil {
+			if _, err := alice.WriteContext(ctx, ab.ID, 0, payload); err != nil {
 				log.Fatalf("alice write: %v", err)
 			}
 		}
-		if _, err := mallory.Write(mb.ID, 0, payload); err != nil {
+		if _, err := mallory.WriteContext(ctx, mb.ID, 0, payload); err != nil {
 			fmt.Println("mallory rejected mid-flood:", err)
 			break
 		}
@@ -70,10 +72,10 @@ policy flood {
 		cluster.Enf.Blocked("alice"), cluster.Trust.Value("alice"))
 
 	// Enforcement acts on the data path.
-	if _, err := mallory.Write(mb.ID, 0, payload); errors.Is(err, policy.ErrBlocked) {
+	if _, err := mallory.WriteContext(ctx, mb.ID, 0, payload); errors.Is(err, policy.ErrBlocked) {
 		fmt.Println("mallory's next write is rejected by the gatekeeper")
 	}
-	if _, err := alice.Write(ab.ID, 0, payload); err == nil {
+	if _, err := alice.WriteContext(ctx, ab.ID, 0, payload); err == nil {
 		fmt.Println("alice keeps writing normally")
 	}
 }

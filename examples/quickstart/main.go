@@ -4,6 +4,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A cluster wires the five BlobSeer actors plus the introspection
 	// stack and the security framework.
 	cluster, err := core.NewCluster(core.Options{
@@ -27,25 +29,25 @@ func main() {
 	alice := cluster.Client("alice")
 
 	// BLOBs are created with a chunk size; all I/O is range-based.
-	info, err := alice.Create(64 << 10) // 64 KiB chunks
+	info, err := alice.CreateContext(ctx, 64<<10) // 64 KiB chunks
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("created blob %d (chunk size %d)\n", info.ID, info.ChunkSize)
 
 	// Every write or append publishes a new immutable version.
-	v1, err := alice.Write(info.ID, 0, bytes.Repeat([]byte("v1"), 64<<9))
+	v1, err := alice.WriteContext(ctx, info.ID, 0, bytes.Repeat([]byte("v1"), 64<<9))
 	if err != nil {
 		log.Fatal(err)
 	}
-	v2, err := alice.Append(info.ID, []byte("appended tail"))
+	v2, err := alice.AppendContext(ctx, info.ID, []byte("appended tail"))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("published versions %d and %d\n", v1, v2)
 
 	// Reads address any published version; 0 means latest.
-	head, err := alice.Read(info.ID, v1, 0, 4)
+	head, err := alice.ReadContext(ctx, info.ID, v1, 0, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,10 +5,11 @@
 // and context.TODO() are banned outside package main, test files and
 // benchmarks.
 //
-// Deliberate roots — compatibility wrappers over the streaming
-// context-first API, net/rpc server handlers (the wire carries no
-// deadline), and cleanup that must outlive a cancelled request — are
-// annotated //ctxfirst:allow <reason>.
+// Deliberate roots — net/rpc server handlers (the wire carries no
+// deadline) and control loops with no caller at all, such as the
+// cluster tick — are annotated //ctxfirst:allow <reason>. Cleanup that
+// must outlive a cancelled request derives its context with
+// context.WithoutCancel instead of minting a root.
 package ctxfirst
 
 import (

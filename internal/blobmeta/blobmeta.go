@@ -56,19 +56,13 @@ type Node struct {
 }
 
 // Store is the metadata-provider persistence interface. Nodes are
-// immutable: Put of an existing key must be idempotent.
+// immutable: Put of an existing key must be idempotent. Delete exists
+// only so the metadata sweep (internal/gc) can drop nodes reachable
+// solely from retired or deleted versions.
 type Store interface {
 	Put(NodeKey, Node) error
 	Get(NodeKey) (Node, bool, error)
 	Len() int
-}
-
-// NodeStore is the optional Store extension the metadata sweep
-// (internal/gc) consumes: paged key enumeration and node deletion.
-// Nodes stay immutable — Delete exists only so the sweep can drop nodes
-// reachable solely from retired or deleted versions.
-type NodeStore interface {
-	Store
 	// ListNodes returns up to limit node keys strictly greater than
 	// after in (Blob, Version, Lo, Hi) order, and whether more remain.
 	// The zero NodeKey starts from the beginning (version 0 is reserved,
@@ -77,11 +71,6 @@ type NodeStore interface {
 	// or may not appear; a key present for the whole scan appears
 	// exactly once.
 	ListNodes(after NodeKey, limit int) ([]NodeKey, bool)
-	// Keys returns a snapshot of the stored node keys.
-	//
-	// Deprecated: Keys materializes the whole key set at once; page with
-	// ListNodes instead.
-	Keys() []NodeKey
 	// Delete removes a node; deleting an absent key is a no-op.
 	Delete(k NodeKey) error
 }
@@ -89,20 +78,6 @@ type NodeStore interface {
 // listNodesDefaultLimit is the page size ListNodes implementations use
 // when the caller passes limit ≤ 0.
 const listNodesDefaultLimit = 1024
-
-// drainNodes implements the deprecated Keys surface on top of paging.
-func drainNodes(ns NodeStore) []NodeKey {
-	var out []NodeKey
-	var after NodeKey
-	for {
-		page, more := ns.ListNodes(after, listNodesDefaultLimit)
-		out = append(out, page...)
-		if !more || len(page) == 0 {
-			return out
-		}
-		after = page[len(page)-1]
-	}
-}
 
 // fnv64 constants (FNV-1a), inlined so per-access hashing allocates
 // nothing — hashKey runs on every metadata Get/Put via Ring.pick and the
@@ -206,7 +181,7 @@ func (s *MemStore) Get(k NodeKey) (Node, bool, error) {
 	return n, ok, nil
 }
 
-// Delete removes a node (absent keys are a no-op). Implements NodeStore.
+// Delete removes a node (absent keys are a no-op). Implements Store.
 func (s *MemStore) Delete(k NodeKey) error {
 	st := s.stripe(k)
 	st.mu.Lock()
@@ -218,7 +193,7 @@ func (s *MemStore) Delete(k NodeKey) error {
 	return nil
 }
 
-// ListNodes implements NodeStore: each stripe contributes its own
+// ListNodes implements Store: each stripe contributes its own
 // sorted page (O(limit + log n) under a read lock) and the pages merge
 // to one. Keys are hash-striped, so every stripe must be consulted for
 // every page — but only limit keys are pulled from each.
@@ -275,11 +250,6 @@ func mergeNodeKeys(a, b []NodeKey, limit int) []NodeKey {
 	return out
 }
 
-// Keys returns a snapshot of the stored node keys.
-//
-// Deprecated: page with ListNodes instead.
-func (s *MemStore) Keys() []NodeKey { return drainNodes(s) }
-
 // Len returns the number of stored nodes.
 func (s *MemStore) Len() int {
 	n := 0
@@ -325,22 +295,15 @@ func (r *Ring) Len() int {
 	return n
 }
 
-// ListNodes implements NodeStore: the merge of every shard's page.
-// Shards that do not implement NodeStore contribute nothing — their
-// nodes are invisible to the metadata sweep and therefore never deleted
-// (the safe direction: a leak, not a lost node). Callers that act on
-// the *absence* of keys (e.g. forgetting a deleted BLOB once its nodes
-// are gone) must check NodesComplete first.
+// ListNodes implements Store: the merge of every shard's page.
 func (r *Ring) ListNodes(after NodeKey, limit int) ([]NodeKey, bool) {
 	if limit <= 0 {
 		limit = listNodesDefaultLimit
 	}
 	merged := make([]NodeKey, 0, limit+1)
 	for _, s := range r.stores {
-		if ns, ok := s.(NodeStore); ok {
-			page, _ := ns.ListNodes(after, limit+1)
-			merged = mergeNodeKeys(merged, page, limit+1)
-		}
+		page, _ := s.ListNodes(after, limit+1)
+		merged = mergeNodeKeys(merged, page, limit+1)
 	}
 	if len(merged) > limit {
 		return merged[:limit], true
@@ -348,32 +311,8 @@ func (r *Ring) ListNodes(after NodeKey, limit int) ([]NodeKey, bool) {
 	return merged, false
 }
 
-// Keys returns the union of every NodeStore shard's keys.
-//
-// Deprecated: page with ListNodes instead.
-func (r *Ring) Keys() []NodeKey { return drainNodes(r) }
-
-// NodesComplete reports whether Keys enumerates every stored node —
-// true only when every shard implements NodeStore. The garbage
-// collector refuses to conclude "all nodes reclaimed" from a partial
-// enumeration.
-func (r *Ring) NodesComplete() bool {
-	for _, s := range r.stores {
-		if _, ok := s.(NodeStore); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// Delete implements NodeStore, routing to the shard that owns the key.
-func (r *Ring) Delete(k NodeKey) error {
-	ns, ok := r.pick(k).(NodeStore)
-	if !ok {
-		return fmt.Errorf("blobmeta: shard for %v does not support node deletion", k)
-	}
-	return ns.Delete(k)
-}
+// Delete implements Store, routing to the shard that owns the key.
+func (r *Ring) Delete(k NodeKey) error { return r.pick(k).Delete(k) }
 
 // Shards returns the per-shard node counts (balance diagnostics).
 func (r *Ring) Shards() []int {

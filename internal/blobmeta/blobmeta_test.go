@@ -376,8 +376,8 @@ func TestRingAccessZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestMemStoreNodeStore: Keys snapshots, Delete removes (absent keys a
-// no-op), Len stays consistent — through both MemStore and Ring.
+// TestMemStoreNodeStore: ListNodes enumerates, Delete removes (absent
+// keys a no-op), Len stays consistent — through both MemStore and Ring.
 func TestMemStoreNodeStore(t *testing.T) {
 	stores := make([]Store, 3)
 	for i := range stores {
@@ -387,7 +387,7 @@ func TestMemStoreNodeStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ns NodeStore = ring
+	var ns Store = ring
 	keys := make([]NodeKey, 0, 100)
 	for i := int64(0); i < 100; i++ {
 		k := NodeKey{Blob: uint64(i % 7), Version: uint64(i), Lo: i, Hi: i + 1}
@@ -400,14 +400,18 @@ func TestMemStoreNodeStore(t *testing.T) {
 		t.Fatalf("Len = %d, want 100", got)
 	}
 	got := map[NodeKey]bool{}
-	for _, k := range ns.Keys() {
+	page, more := ns.ListNodes(NodeKey{}, len(keys))
+	if more {
+		t.Fatal("ListNodes reports more keys past a full page")
+	}
+	for _, k := range page {
 		if got[k] {
 			t.Fatalf("duplicate key in snapshot: %v", k)
 		}
 		got[k] = true
 	}
 	if len(got) != 100 {
-		t.Fatalf("Keys returned %d keys, want 100", len(got))
+		t.Fatalf("ListNodes returned %d keys, want 100", len(got))
 	}
 	for _, k := range keys[:40] {
 		if err := ns.Delete(k); err != nil {
@@ -651,7 +655,7 @@ func TestListNodesPagingOrderAndCompleteness(t *testing.T) {
 	}
 	sort.Slice(want, func(i, j int) bool { return nodeKeyCmp(want[i], want[j]) < 0 })
 
-	for _, ns := range []NodeStore{mem, ring} {
+	for _, ns := range []Store{mem, ring} {
 		for _, limit := range []int{1, 7, 128, 1000} {
 			var got []NodeKey
 			var after NodeKey
@@ -714,26 +718,5 @@ func TestListNodesDeleteDuringPaging(t *testing.T) {
 	}
 	if mem.Len() != 0 {
 		t.Fatalf("%d keys survived a full delete sweep", mem.Len())
-	}
-}
-
-// TestKeysMatchesListNodes: the deprecated snapshot stays consistent
-// with the paged enumeration it now wraps.
-func TestKeysMatchesListNodes(t *testing.T) {
-	mem := NewMemStore("m1", nil, nil)
-	for i := int64(0); i < 300; i++ {
-		k := NodeKey{Blob: uint64(i % 5), Version: uint64(i + 1), Lo: i % 16, Hi: i%16 + 1}
-		if err := mem.Put(k, Node{Leaf: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := mem.Keys()
-	if len(keys) != mem.Len() {
-		t.Fatalf("Keys returned %d, Len says %d", len(keys), mem.Len())
-	}
-	for i := 1; i < len(keys); i++ {
-		if nodeKeyCmp(keys[i-1], keys[i]) >= 0 {
-			t.Fatal("Keys (via ListNodes) not strictly ascending")
-		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // nodeKeyCmp orders node keys by (Blob, Version, Lo, Hi) — the paging
-// order of NodeStore.ListNodes.
+// order of Store.ListNodes.
 func nodeKeyCmp(a, b NodeKey) int {
 	switch {
 	case a.Blob != b.Blob:

@@ -28,12 +28,13 @@ func newBlobSet() *blobSet {
 }
 
 func (bs *blobSet) write(t *testing.T, cl *client.Client, chunkSize int64, payload []byte) {
+	ctx := context.Background()
 	t.Helper()
-	info, err := cl.Create(chunkSize)
+	info, err := cl.CreateContext(ctx, chunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ver, err := cl.Write(info.ID, 0, payload)
+	ver, err := cl.WriteContext(ctx, info.ID, 0, payload)
 	if err != nil {
 		t.Fatalf("write blob %d: %v", info.ID, err)
 	}

@@ -5,9 +5,9 @@
 //
 // The surface is context-first and streaming: Open returns a Blob handle
 // whose NewReader/NewWriter stream chunk-granular data with pipelined
-// prefetch and background replica flushes (see blob.go). The classic
-// []byte Read/Write/Append signatures are retained as thin compatibility
-// wrappers over the streaming core.
+// prefetch and background replica flushes (see blob.go). The []byte
+// CreateContext/ReadContext/WriteContext/AppendContext calls are the
+// paper's CREATE/READ/WRITE/APPEND over that streaming core.
 package client
 
 import (
@@ -296,12 +296,8 @@ func New(user string, vm *vmanager.Manager, pm *pmanager.Manager, dir Directory,
 // User returns the client identity.
 func (c *Client) User() string { return c.user }
 
-// Create makes a new BLOB with the given chunk size (0 = default).
-func (c *Client) Create(chunkSize int64) (vmanager.BlobInfo, error) {
-	return c.CreateContext(context.Background(), chunkSize) //ctxfirst:allow compat wrapper; ctx-aware callers use the *Context form
-}
-
-// CreateContext is Create with an admission context.
+// CreateContext makes a new BLOB with the given chunk size (0 =
+// default); ctx carries admission.
 func (c *Client) CreateContext(ctx context.Context, chunkSize int64) (vmanager.BlobInfo, error) {
 	if err := c.gate.Allow(ctx, c.user, instrument.OpCreate); err != nil {
 		return vmanager.BlobInfo{}, err
@@ -311,13 +307,8 @@ func (c *Client) CreateContext(ctx context.Context, chunkSize int64) (vmanager.B
 	return info, err
 }
 
-// CreateTemporary makes a BLOB flagged for the temporary-data removal
-// strategy.
-func (c *Client) CreateTemporary(chunkSize int64) (vmanager.BlobInfo, error) {
-	return c.CreateTemporaryContext(context.Background(), chunkSize) //ctxfirst:allow compat wrapper; ctx-aware callers use the *Context form
-}
-
-// CreateTemporaryContext is CreateTemporary with an admission context.
+// CreateTemporaryContext makes a BLOB flagged for the temporary-data
+// removal strategy; ctx carries admission.
 func (c *Client) CreateTemporaryContext(ctx context.Context, chunkSize int64) (vmanager.BlobInfo, error) {
 	if err := c.gate.Allow(ctx, c.user, instrument.OpCreate); err != nil {
 		return vmanager.BlobInfo{}, err
@@ -341,13 +332,8 @@ func (c *Client) Open(ctx context.Context, blob uint64) (*Blob, error) {
 	return &Blob{c: c, info: info}, nil
 }
 
-// Write stores data at the given offset and returns the published
-// version. It is a compatibility wrapper over the streaming BlobWriter.
-func (c *Client) Write(blob uint64, offset int64, data []byte) (uint64, error) {
-	return c.WriteContext(context.Background(), blob, offset, data) //ctxfirst:allow compat wrapper; ctx-aware callers use the *Context form
-}
-
-// WriteContext is Write with cancellation: a cancelled ctx aborts
+// WriteContext stores data at the given offset through a streaming
+// BlobWriter and returns the published version. A cancelled ctx aborts
 // in-flight chunk transfers and leaves the BLOB unpublished.
 func (c *Client) WriteContext(ctx context.Context, blob uint64, offset int64, data []byte) (uint64, error) {
 	start := c.now()
@@ -376,14 +362,9 @@ func (c *Client) WriteContext(ctx context.Context, blob uint64, offset int64, da
 	return w.Version(), nil
 }
 
-// Append stores data at the BLOB's end and returns the published
-// version. It is a compatibility wrapper over the streaming BlobWriter
-// bound to an append ticket.
-func (c *Client) Append(blob uint64, data []byte) (uint64, error) {
-	return c.AppendContext(context.Background(), blob, data) //ctxfirst:allow compat wrapper; ctx-aware callers use the *Context form
-}
-
-// AppendContext is Append with cancellation.
+// AppendContext stores data at the BLOB's end through a streaming
+// BlobWriter bound to an append ticket and returns the published
+// version. A cancelled ctx aborts in-flight chunk transfers.
 func (c *Client) AppendContext(ctx context.Context, blob uint64, data []byte) (uint64, error) {
 	start := c.now()
 	if err := c.gate.Allow(ctx, c.user, instrument.OpAppend); err != nil {
@@ -405,17 +386,11 @@ func (c *Client) AppendContext(ctx context.Context, blob uint64, data []byte) (u
 	return w.Version(), nil
 }
 
-// Read returns length bytes at offset from the given version (0 = latest
-// published). Holes read as zeros; reads past the version size fail with
-// ErrShortRead. It is a compatibility wrapper over the streaming
-// BlobReader.
-func (c *Client) Read(blob uint64, version uint64, offset, length int64) ([]byte, error) {
-	return c.ReadContext(context.Background(), blob, version, offset, length) //ctxfirst:allow compat wrapper; ctx-aware callers use the *Context form
-}
-
-// ReadContext is Read with cancellation: a cancelled ctx aborts in-flight
-// chunk fetches. Unlike NewReader, a negative length is an error here
-// (the historical Read contract), not a to-the-end request.
+// ReadContext returns length bytes at offset from the given version (0 =
+// latest published) through a streaming BlobReader. Holes read as zeros;
+// reads past the version size fail with ErrShortRead. A cancelled ctx
+// aborts in-flight chunk fetches. Unlike NewReader, a negative length is
+// an error here, not a to-the-end request.
 func (c *Client) ReadContext(ctx context.Context, blob uint64, version uint64, offset, length int64) ([]byte, error) {
 	if length < 0 {
 		return nil, fmt.Errorf("%w: negative length %d", ErrShortRead, length)

@@ -55,21 +55,22 @@ func (b *bed) client(user string, opts ...Option) *Client {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 4)
 	c := b.client("alice")
-	info, err := c.Create(16)
+	info, err := c.CreateContext(ctx, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := []byte("the quick brown fox jumps over the lazy dog")
-	ver, err := c.Write(info.ID, 0, data)
+	ver, err := c.WriteContext(ctx, info.ID, 0, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ver != 1 {
 		t.Fatalf("version=%d", ver)
 	}
-	got, err := c.Read(info.ID, 0, 0, int64(len(data)))
+	got, err := c.ReadContext(ctx, info.ID, 0, 0, int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +80,15 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestPartialRead(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 4)
 	c := b.client("alice")
-	info, _ := c.Create(8)
+	info, _ := c.CreateContext(ctx, 8)
 	data := []byte("0123456789abcdefghij")
-	if _, err := c.Write(info.ID, 0, data); err != nil {
+	if _, err := c.WriteContext(ctx, info.ID, 0, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(info.ID, 0, 5, 10)
+	got, err := c.ReadContext(ctx, info.ID, 0, 5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,17 +98,18 @@ func TestPartialRead(t *testing.T) {
 }
 
 func TestUnalignedOverwriteMerges(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 4)
 	c := b.client("alice")
-	info, _ := c.Create(8)
-	if _, err := c.Write(info.ID, 0, []byte("AAAAAAAAAAAAAAAA")); err != nil { // 16 bytes
+	info, _ := c.CreateContext(ctx, 8)
+	if _, err := c.WriteContext(ctx, info.ID, 0, []byte("AAAAAAAAAAAAAAAA")); err != nil { // 16 bytes
 		t.Fatal(err)
 	}
 	// Overwrite bytes [4,12): spans two chunks, both partially.
-	if _, err := c.Write(info.ID, 4, []byte("BBBBBBBB")); err != nil {
+	if _, err := c.WriteContext(ctx, info.ID, 4, []byte("BBBBBBBB")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(info.ID, 0, 0, 16)
+	got, err := c.ReadContext(ctx, info.ID, 0, 0, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,50 +119,53 @@ func TestUnalignedOverwriteMerges(t *testing.T) {
 }
 
 func TestAppendGrowsBlob(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 4)
 	c := b.client("alice")
-	info, _ := c.Create(8)
-	if _, err := c.Append(info.ID, []byte("hello ")); err != nil {
+	info, _ := c.CreateContext(ctx, 8)
+	if _, err := c.AppendContext(ctx, info.ID, []byte("hello ")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Append(info.ID, []byte("world")); err != nil {
+	if _, err := c.AppendContext(ctx, info.ID, []byte("world")); err != nil {
 		t.Fatal(err)
 	}
 	size, err := c.Size(info.ID, 0)
 	if err != nil || size != 11 {
 		t.Fatalf("size=%d err=%v", size, err)
 	}
-	got, err := c.Read(info.ID, 0, 0, 11)
+	got, err := c.ReadContext(ctx, info.ID, 0, 0, 11)
 	if err != nil || string(got) != "hello world" {
 		t.Fatalf("got %q err=%v", got, err)
 	}
 }
 
 func TestVersionedReads(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 4)
 	c := b.client("alice")
-	info, _ := c.Create(8)
-	v1, _ := c.Write(info.ID, 0, []byte("version1"))
-	v2, _ := c.Write(info.ID, 0, []byte("version2"))
-	got1, err := c.Read(info.ID, v1, 0, 8)
+	info, _ := c.CreateContext(ctx, 8)
+	v1, _ := c.WriteContext(ctx, info.ID, 0, []byte("version1"))
+	v2, _ := c.WriteContext(ctx, info.ID, 0, []byte("version2"))
+	got1, err := c.ReadContext(ctx, info.ID, v1, 0, 8)
 	if err != nil || string(got1) != "version1" {
 		t.Fatalf("v1 read %q err=%v", got1, err)
 	}
-	got2, err := c.Read(info.ID, v2, 0, 8)
+	got2, err := c.ReadContext(ctx, info.ID, v2, 0, 8)
 	if err != nil || string(got2) != "version2" {
 		t.Fatalf("v2 read %q err=%v", got2, err)
 	}
 }
 
 func TestHolesReadAsZeros(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 4)
 	c := b.client("alice")
-	info, _ := c.Create(8)
+	info, _ := c.CreateContext(ctx, 8)
 	// Write at offset 16, leaving chunks 0-1 as holes.
-	if _, err := c.Write(info.ID, 16, []byte("XY")); err != nil {
+	if _, err := c.WriteContext(ctx, info.ID, 16, []byte("XY")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(info.ID, 0, 0, 18)
+	got, err := c.ReadContext(ctx, info.ID, 0, 0, 18)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,23 +176,25 @@ func TestHolesReadAsZeros(t *testing.T) {
 }
 
 func TestReadPastEndFails(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 4)
 	c := b.client("alice")
-	info, _ := c.Create(8)
-	if _, err := c.Write(info.ID, 0, []byte("12345678")); err != nil {
+	info, _ := c.CreateContext(ctx, 8)
+	if _, err := c.WriteContext(ctx, info.ID, 0, []byte("12345678")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Read(info.ID, 0, 4, 8); !errors.Is(err, ErrShortRead) {
+	if _, err := c.ReadContext(ctx, info.ID, 0, 4, 8); !errors.Is(err, ErrShortRead) {
 		t.Fatalf("want ErrShortRead, got %v", err)
 	}
 }
 
 func TestReplication(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 5)
 	c := b.client("alice", WithReplicas(3))
-	info, _ := c.Create(8)
+	info, _ := c.CreateContext(ctx, 8)
 	data := []byte("replicated-data!")
-	if _, err := c.Write(info.ID, 0, data); err != nil {
+	if _, err := c.WriteContext(ctx, info.ID, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	// Each written chunk must live on 3 providers.
@@ -208,37 +216,39 @@ func TestReplication(t *testing.T) {
 			stopped++
 		}
 	}
-	got, err := c.Read(info.ID, 0, 0, int64(len(data)))
+	got, err := c.ReadContext(ctx, info.ID, 0, 0, int64(len(data)))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after failures: %q err=%v", got, err)
 	}
 }
 
 func TestAllProvidersDownFailsWrite(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 2)
 	c := b.client("alice")
-	info, _ := c.Create(8)
+	info, _ := c.CreateContext(ctx, 8)
 	for _, p := range b.providers {
 		p.Stop()
 	}
-	if _, err := c.Write(info.ID, 0, []byte("x")); !errors.Is(err, ErrNoReplica) {
+	if _, err := c.WriteContext(ctx, info.ID, 0, []byte("x")); !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("want ErrNoReplica, got %v", err)
 	}
 	// Chain must not be stuck: a later write succeeds after restart.
 	for _, p := range b.providers {
 		p.Restart()
 	}
-	if _, err := c.Write(info.ID, 0, []byte("y")); err != nil {
+	if _, err := c.WriteContext(ctx, info.ID, 0, []byte("y")); err != nil {
 		t.Fatalf("post-recovery write: %v", err)
 	}
 }
 
 func TestWriteQuorumDefaultRequiresAllReplicas(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 3)
 	c := b.client("alice", WithReplicas(3))
-	info, _ := c.Create(8)
+	info, _ := c.CreateContext(ctx, 8)
 	b.providers["p01"].Stop()
-	_, err := c.Write(info.ID, 0, []byte("payload!"))
+	_, err := c.WriteContext(ctx, info.ID, 0, []byte("payload!"))
 	if !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("want ErrNoReplica, got %v", err)
 	}
@@ -249,12 +259,13 @@ func TestWriteQuorumDefaultRequiresAllReplicas(t *testing.T) {
 }
 
 func TestWriteQuorumToleratesReplicaFailures(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 3)
 	c := b.client("alice", WithReplicas(3), WithWriteQuorum(2))
-	info, _ := c.Create(8)
+	info, _ := c.CreateContext(ctx, 8)
 	b.providers["p01"].Stop()
 	data := []byte("quorum-data-here")
-	if _, err := c.Write(info.ID, 0, data); err != nil {
+	if _, err := c.WriteContext(ctx, info.ID, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	// Descriptors list exactly the replicas that landed, never the
@@ -274,17 +285,18 @@ func TestWriteQuorumToleratesReplicaFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(info.ID, 0, 0, int64(len(data)))
+	got, err := c.ReadContext(ctx, info.ID, 0, 0, int64(len(data)))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read back %q err=%v", got, err)
 	}
 }
 
 func TestWriteQuorumClampedToReplicationDegree(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 3)
 	c := b.client("alice", WithReplicas(2), WithWriteQuorum(99))
-	info, _ := c.Create(8)
-	if _, err := c.Write(info.ID, 0, []byte("clamped!")); err != nil {
+	info, _ := c.CreateContext(ctx, 8)
+	if _, err := c.WriteContext(ctx, info.ID, 0, []byte("clamped!")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -292,13 +304,14 @@ func TestWriteQuorumClampedToReplicationDegree(t *testing.T) {
 // Bugfix regression: directory lookup failures used to be silently
 // dropped, leaving a bare ErrNoReplica with no cause.
 func TestLookupFailuresAreReported(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 2)
 	sentinel := errors.New("directory exploded")
 	c := New("alice", b.vm, b.pm, DirectoryFunc(func(context.Context, string) (Conn, error) {
 		return nil, sentinel
 	}))
-	info, _ := c.Create(8)
-	_, err := c.Write(info.ID, 0, []byte("x"))
+	info, _ := c.CreateContext(ctx, 8)
+	_, err := c.WriteContext(ctx, info.ID, 0, []byte("x"))
 	if !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("want ErrNoReplica, got %v", err)
 	}
@@ -308,21 +321,22 @@ func TestLookupFailuresAreReported(t *testing.T) {
 }
 
 func TestHedgedReadSurvivesFailures(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 3)
 	c := b.client("alice", WithReplicas(3), WithHedgedReads(true))
-	info, _ := c.Create(8)
+	info, _ := c.CreateContext(ctx, 8)
 	data := []byte("hedged-replicas!")
-	if _, err := c.Write(info.ID, 0, data); err != nil {
+	if _, err := c.WriteContext(ctx, info.ID, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	b.providers["p00"].Stop()
 	b.providers["p02"].Stop()
-	got, err := c.Read(info.ID, 0, 0, int64(len(data)))
+	got, err := c.ReadContext(ctx, info.ID, 0, 0, int64(len(data)))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("hedged read after failures: %q err=%v", got, err)
 	}
 	b.providers["p01"].Stop()
-	_, err = c.Read(info.ID, 0, 0, int64(len(data)))
+	_, err = c.ReadContext(ctx, info.ID, 0, 0, int64(len(data)))
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("want ErrUnavailable, got %v", err)
 	}
@@ -332,19 +346,20 @@ func TestHedgedReadSurvivesFailures(t *testing.T) {
 }
 
 func TestHedgedReadMatchesSerial(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 4)
 	serial := b.client("alice", WithReplicas(3))
 	hedged := b.client("alice", WithReplicas(3), WithHedgedReads(true))
-	info, _ := serial.Create(16)
+	info, _ := serial.CreateContext(ctx, 16)
 	data := bytes.Repeat([]byte("0123456789abcdef"), 7) // unaligned tail
-	if _, err := serial.Write(info.ID, 3, data); err != nil {
+	if _, err := serial.WriteContext(ctx, info.ID, 3, data); err != nil {
 		t.Fatal(err)
 	}
-	want, err := serial.Read(info.ID, 0, 0, int64(len(data))+3)
+	want, err := serial.ReadContext(ctx, info.ID, 0, 0, int64(len(data))+3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := hedged.Read(info.ID, 0, 0, int64(len(data))+3)
+	got, err := hedged.ReadContext(ctx, info.ID, 0, 0, int64(len(data))+3)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("hedged differs from serial: err=%v", err)
 	}
@@ -360,37 +375,39 @@ func (g denyGate) Allow(_ context.Context, user string, op instrument.Op) error 
 }
 
 func TestGatekeeperBlocks(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 2)
 	gate := denyGate{blocked: map[string]bool{"mallory": true}}
 	mallory := b.client("mallory", WithGatekeeper(gate))
 	alice := b.client("alice", WithGatekeeper(gate))
-	info, err := alice.Create(8)
+	info, err := alice.CreateContext(ctx, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mallory.Write(info.ID, 0, []byte("x")); !errors.Is(err, ErrBlocked) {
+	if _, err := mallory.WriteContext(ctx, info.ID, 0, []byte("x")); !errors.Is(err, ErrBlocked) {
 		t.Fatalf("want ErrBlocked, got %v", err)
 	}
-	if _, err := mallory.Read(info.ID, 0, 0, 0); !errors.Is(err, ErrBlocked) {
+	if _, err := mallory.ReadContext(ctx, info.ID, 0, 0, 0); !errors.Is(err, ErrBlocked) {
 		t.Fatalf("want ErrBlocked, got %v", err)
 	}
-	if _, err := mallory.Create(8); !errors.Is(err, ErrBlocked) {
+	if _, err := mallory.CreateContext(ctx, 8); !errors.Is(err, ErrBlocked) {
 		t.Fatalf("want ErrBlocked, got %v", err)
 	}
-	if _, err := alice.Write(info.ID, 0, []byte("x")); err != nil {
+	if _, err := alice.WriteContext(ctx, info.ID, 0, []byte("x")); err != nil {
 		t.Fatalf("correct client affected: %v", err)
 	}
 }
 
 func TestClientEventsEmitted(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 2)
 	rec := &instrument.Recorder{}
 	c := b.client("alice", WithEmitter(rec))
-	info, _ := c.Create(8)
-	if _, err := c.Write(info.ID, 0, []byte("abcdefgh")); err != nil {
+	info, _ := c.CreateContext(ctx, 8)
+	if _, err := c.WriteContext(ctx, info.ID, 0, []byte("abcdefgh")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Read(info.ID, 0, 0, 8); err != nil {
+	if _, err := c.ReadContext(ctx, info.ID, 0, 0, 8); err != nil {
 		t.Fatal(err)
 	}
 	ops := map[instrument.Op]int{}
@@ -403,9 +420,10 @@ func TestClientEventsEmitted(t *testing.T) {
 }
 
 func TestTemporaryBlobFlag(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 2)
 	c := b.client("alice")
-	info, err := c.CreateTemporary(8)
+	info, err := c.CreateTemporaryContext(ctx, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,11 +436,12 @@ func TestTemporaryBlobFlag(t *testing.T) {
 // Property: a random sequence of writes over a model buffer matches the
 // BLOB contents byte for byte at the latest version.
 func TestWriteSequenceMatchesModel(t *testing.T) {
+	ctx := context.Background()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		b := newBedQuick()
 		c := b.client("u")
-		info, err := c.Create(16)
+		info, err := c.CreateContext(ctx, 16)
 		if err != nil {
 			return false
 		}
@@ -435,7 +454,7 @@ func TestWriteSequenceMatchesModel(t *testing.T) {
 			rng.Read(data)
 			if rng.Intn(2) == 0 && len(model) > 0 {
 				off := rng.Intn(len(model))
-				if _, err := c.Write(info.ID, int64(off), data); err != nil {
+				if _, err := c.WriteContext(ctx, info.ID, int64(off), data); err != nil {
 					return false
 				}
 				for len(model) < off+n {
@@ -443,13 +462,13 @@ func TestWriteSequenceMatchesModel(t *testing.T) {
 				}
 				copy(model[off:], data)
 			} else {
-				if _, err := c.Append(info.ID, data); err != nil {
+				if _, err := c.AppendContext(ctx, info.ID, data); err != nil {
 					return false
 				}
 				model = append(model, data...)
 			}
 		}
-		got, err := c.Read(info.ID, 0, 0, int64(len(model)))
+		got, err := c.ReadContext(ctx, info.ID, 0, 0, int64(len(model)))
 		if err != nil {
 			return false
 		}
@@ -515,17 +534,17 @@ func (p *recPinner) outstanding() int {
 // its open-to-Close lifetime, failed opens leave no pin behind, and a
 // refused pin fails the open.
 func TestReaderPinsVersion(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 2)
 	pinner := newRecPinner()
 	c := b.client("alice", WithPinner(pinner))
-	info, err := c.Create(16)
+	info, err := c.CreateContext(ctx, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write(info.ID, 0, []byte("0123456789abcdef")); err != nil {
+	if _, err := c.WriteContext(ctx, info.ID, 0, []byte("0123456789abcdef")); err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	bh, err := c.Open(ctx, info.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -565,9 +584,9 @@ func TestReaderPinsVersion(t *testing.T) {
 		t.Fatal("open succeeded against a refused pin")
 	}
 
-	// The compatibility Read wrapper pins and unpins too.
+	// The buffered ReadContext pins and unpins too.
 	pinner.failPin = nil
-	if _, err := c.Read(info.ID, 0, 0, 4); err != nil {
+	if _, err := c.ReadContext(ctx, info.ID, 0, 0, 4); err != nil {
 		t.Fatal(err)
 	}
 	if pinner.outstanding() != 0 {

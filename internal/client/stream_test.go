@@ -29,7 +29,7 @@ func TestStreamWriterReaderRoundTrip(t *testing.T) {
 	b := newBed(t, 4)
 	c := b.client("alice")
 	ctx := context.Background()
-	info, err := c.Create(8)
+	info, err := c.CreateContext(ctx, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +79,9 @@ func TestStreamWriteToMatchesRead(t *testing.T) {
 	b := newBed(t, 4)
 	c := b.client("alice")
 	ctx := context.Background()
-	info, _ := c.Create(16)
+	info, _ := c.CreateContext(ctx, 16)
 	payload := bytes.Repeat([]byte("streaming-writer-to!"), 13)
-	if _, err := c.Write(info.ID, 0, payload); err != nil {
+	if _, err := c.WriteContext(ctx, info.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := c.Open(ctx, info.ID)
@@ -107,9 +107,9 @@ func TestStreamReaderSeek(t *testing.T) {
 	b := newBed(t, 4)
 	c := b.client("alice")
 	ctx := context.Background()
-	info, _ := c.Create(8)
+	info, _ := c.CreateContext(ctx, 8)
 	payload := []byte("0123456789abcdefghijklmnopqrstuv") // 32 bytes, 4 chunks
-	if _, err := c.Write(info.ID, 0, payload); err != nil {
+	if _, err := c.WriteContext(ctx, info.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	blob, _ := c.Open(ctx, info.ID)
@@ -148,7 +148,7 @@ func TestStreamWriterReadFrom(t *testing.T) {
 	b := newBed(t, 4)
 	c := b.client("alice")
 	ctx := context.Background()
-	info, _ := c.Create(8)
+	info, _ := c.CreateContext(ctx, 8)
 	payload := bytes.Repeat([]byte("reader-from-path"), 9)
 	blob, _ := c.Open(ctx, info.ID)
 	w, err := blob.NewWriter(ctx, 0)
@@ -162,7 +162,7 @@ func TestStreamWriterReadFrom(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(info.ID, 0, 0, int64(len(payload)))
+	got, err := c.ReadContext(ctx, info.ID, 0, 0, int64(len(payload)))
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read back mismatch err=%v", err)
 	}
@@ -172,7 +172,7 @@ func TestStreamWriterCloseIdempotentAndWriteAfterClose(t *testing.T) {
 	b := newBed(t, 2)
 	c := b.client("alice")
 	ctx := context.Background()
-	info, _ := c.Create(8)
+	info, _ := c.CreateContext(ctx, 8)
 	blob, _ := c.Open(ctx, info.ID)
 	w, _ := blob.NewWriter(ctx, 0)
 	if _, err := w.Write([]byte("x")); err != nil {
@@ -236,11 +236,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // forever: the fast replica must win, and winning must cancel — not
 // strand — the losing fetches, leaving no goroutine behind.
 func TestHedgedReadCancelsLosers(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 3)
 	writer := b.client("alice", WithReplicas(3))
-	info, _ := writer.Create(8)
+	info, _ := writer.CreateContext(ctx, 8)
 	payload := []byte("hedged-loser-cancellation-check!")
-	if _, err := writer.Write(info.ID, 0, payload); err != nil {
+	if _, err := writer.WriteContext(ctx, info.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 
@@ -258,7 +259,7 @@ func TestHedgedReadCancelsLosers(t *testing.T) {
 	reader := New("alice", b.vm, b.pm, dir, WithHedgedReads(true))
 
 	before := runtime.NumGoroutine()
-	got, err := reader.Read(info.ID, 0, 0, int64(len(payload)))
+	got, err := reader.ReadContext(ctx, info.ID, 0, 0, int64(len(payload)))
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("hedged read: %q err=%v", got, err)
 	}
@@ -275,10 +276,11 @@ func TestHedgedReadCancelsLosers(t *testing.T) {
 // caller's context: the read must fail with context.Canceled promptly
 // and all replica fetches must unblock.
 func TestHedgedReadParentCancellation(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 3)
 	writer := b.client("alice", WithReplicas(3))
-	info, _ := writer.Create(8)
-	if _, err := writer.Write(info.ID, 0, []byte("parked!!")); err != nil {
+	info, _ := writer.CreateContext(ctx, 8)
+	if _, err := writer.WriteContext(ctx, info.ID, 0, []byte("parked!!")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -320,6 +322,7 @@ func TestHedgedReadParentCancellation(t *testing.T) {
 // cancels the writer's context mid-stream: Close must report the
 // cancellation, publish nothing, and the parked stores must unblock.
 func TestWriterCancellationAbortsStores(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 2)
 	var blocked atomic.Int64
 	dir := DirectoryFunc(func(ctx context.Context, id string) (Conn, error) {
@@ -330,7 +333,7 @@ func TestWriterCancellationAbortsStores(t *testing.T) {
 		return blockingConn{inner: conn, blocked: &blocked}, nil
 	})
 	c := New("alice", b.vm, b.pm, dir)
-	info, err := c.Create(8)
+	info, err := c.CreateContext(ctx, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,18 +369,18 @@ func TestStreamReadMatchesBufferedAcrossShapes(t *testing.T) {
 	b := newBed(t, 4)
 	c := b.client("alice", WithPrefetch(2))
 	ctx := context.Background()
-	info, _ := c.Create(8)
+	info, _ := c.CreateContext(ctx, 8)
 	// Hole in chunks 2..3: write [0,12) and [35,50).
-	if _, err := c.Write(info.ID, 0, bytes.Repeat([]byte("A"), 12)); err != nil {
+	if _, err := c.WriteContext(ctx, info.ID, 0, bytes.Repeat([]byte("A"), 12)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write(info.ID, 35, bytes.Repeat([]byte("B"), 15)); err != nil {
+	if _, err := c.WriteContext(ctx, info.ID, 35, bytes.Repeat([]byte("B"), 15)); err != nil {
 		t.Fatal(err)
 	}
 	blob, _ := c.Open(ctx, info.ID)
 	for _, win := range [][2]int64{{0, 50}, {3, 17}, {10, 30}, {34, 2}, {12, 23}, {49, 1}, {20, 0}} {
 		off, n := win[0], win[1]
-		want, err := c.Read(info.ID, 0, off, n)
+		want, err := c.ReadContext(ctx, info.ID, 0, off, n)
 		if err != nil {
 			t.Fatalf("buffered [%d,%d): %v", off, off+n, err)
 		}
@@ -398,7 +401,7 @@ func TestStreamReadMatchesBufferedAcrossShapes(t *testing.T) {
 	// The buffered wrapper keeps the historical contract: negative
 	// length is an error, not a to-the-end request (regression: used to
 	// panic in make([]byte, -1)).
-	if _, err := c.Read(info.ID, 0, 0, -1); !errors.Is(err, ErrShortRead) {
+	if _, err := c.ReadContext(ctx, info.ID, 0, 0, -1); !errors.Is(err, ErrShortRead) {
 		t.Fatalf("negative length: %v", err)
 	}
 }
@@ -408,6 +411,7 @@ func TestStreamReadMatchesBufferedAcrossShapes(t *testing.T) {
 // may ever be in flight, and the producer must block on the full
 // pipeline instead of accumulating goroutines and slot buffers.
 func TestWriterFlushesBoundedByWorkers(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 2)
 	var blocked atomic.Int64
 	dir := DirectoryFunc(func(ctx context.Context, id string) (Conn, error) {
@@ -418,7 +422,7 @@ func TestWriterFlushesBoundedByWorkers(t *testing.T) {
 		return blockingConn{inner: conn, blocked: &blocked}, nil
 	})
 	c := New("alice", b.vm, b.pm, dir, WithWorkers(2))
-	info, err := c.Create(8)
+	info, err := c.CreateContext(ctx, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,9 +469,9 @@ func TestSeekBackwardPrunesPrefetch(t *testing.T) {
 	b := newBed(t, 4)
 	c := b.client("alice", WithPrefetch(2))
 	ctx := context.Background()
-	info, _ := c.Create(8)
+	info, _ := c.CreateContext(ctx, 8)
 	payload := bytes.Repeat([]byte("01234567"), 6) // 6 chunks
-	if _, err := c.Write(info.ID, 0, payload); err != nil {
+	if _, err := c.WriteContext(ctx, info.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	blob, _ := c.Open(ctx, info.ID)
@@ -507,9 +511,10 @@ func TestSeekBackwardPrunesPrefetch(t *testing.T) {
 // flushed: Close must not publish, and StoredChunks must surface the
 // flushed descriptors so callers can reclaim the orphaned replicas.
 func TestStoredChunksAfterAbortedClose(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 2)
 	c := b.client("alice")
-	info, _ := c.Create(8)
+	info, _ := c.CreateContext(ctx, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	blob, _ := c.Open(ctx, info.ID)
 	w, err := blob.NewWriter(ctx, 0)
@@ -552,6 +557,7 @@ func (c failStoreConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]b
 // land are unreferenced by any version, and StoredChunks must surface
 // them for reclamation.
 func TestStoredChunksIncludeQuorumOrphans(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 3)
 	dir := DirectoryFunc(func(ctx context.Context, id string) (Conn, error) {
 		conn, err := b.Lookup(ctx, id)
@@ -564,11 +570,10 @@ func TestStoredChunksIncludeQuorumOrphans(t *testing.T) {
 		return conn, nil
 	})
 	c := New("alice", b.vm, b.pm, dir, WithReplicas(3))
-	info, err := c.Create(8)
+	info, err := c.CreateContext(ctx, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	blob, _ := c.Open(ctx, info.ID)
 	w, err := blob.NewWriter(ctx, 0)
 	if err != nil {
@@ -615,9 +620,10 @@ func (r *cancelOnFinalRead) Read(p []byte) (int, error) {
 }
 
 func TestReadFromReportsDroppedFinalSlot(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 2)
 	c := b.client("alice")
-	info, _ := c.Create(8)
+	info, _ := c.CreateContext(ctx, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	blob, _ := c.Open(ctx, info.ID)
@@ -639,6 +645,7 @@ func TestReadFromReportsDroppedFinalSlot(t *testing.T) {
 // allocations, so the object's chunks spread across the cluster instead
 // of every per-slot Allocate(1) re-picking the same "least used" target.
 func TestStreamWritePlacementSpreads(t *testing.T) {
+	ctx := context.Background()
 	b := &bed{
 		vm: vmanager.New(blobmeta.NewMemStore("m1", nil, nil), vmanager.WithSpan(1<<20)),
 		pm: pmanager.New(pmanager.WithTTL(0),
@@ -653,11 +660,10 @@ func TestStreamWritePlacementSpreads(t *testing.T) {
 		}
 	}
 	c := b.client("alice")
-	info, err := c.Create(8)
+	info, err := c.CreateContext(ctx, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	blob, _ := c.Open(ctx, info.ID)
 	w, err := blob.NewWriter(ctx, 0)
 	if err != nil {
@@ -685,10 +691,11 @@ func TestStreamWritePlacementSpreads(t *testing.T) {
 // the evicted futures' fetches must be cancelled promptly, so in-flight
 // transfers — not just map entries — stay bounded by the window.
 func TestSeekEvictionCancelsInFlightFetches(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 4)
 	writer := b.client("alice")
-	info, _ := writer.Create(8)
-	if _, err := writer.Write(info.ID, 0, bytes.Repeat([]byte("w"), 48)); err != nil {
+	info, _ := writer.CreateContext(ctx, 8)
+	if _, err := writer.WriteContext(ctx, info.ID, 0, bytes.Repeat([]byte("w"), 48)); err != nil {
 		t.Fatal(err)
 	}
 	var blocked atomic.Int64
@@ -700,7 +707,6 @@ func TestSeekEvictionCancelsInFlightFetches(t *testing.T) {
 		return blockingConn{inner: conn, blocked: &blocked}, nil
 	})
 	c := New("alice", b.vm, b.pm, dir, WithPrefetch(2))
-	ctx := context.Background()
 	blob, _ := c.Open(ctx, info.ID)
 	r, err := blob.NewReader(ctx, 0, 0, 48)
 	if err != nil {
@@ -743,7 +749,7 @@ func TestCreateTemporaryContextCancelled(t *testing.T) {
 	if _, err := c.CreateTemporaryContext(ctx, 8); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled CreateTemporaryContext: %v", err)
 	}
-	if _, err := c.CreateTemporary(8); err != nil { // background ctx still admits
+	if _, err := c.CreateTemporaryContext(context.Background(), 8); err != nil { // background ctx still admits
 		t.Fatal(err)
 	}
 }
@@ -754,19 +760,19 @@ func TestCreateTemporaryContextCancelled(t *testing.T) {
 // version-1 snapshot taken at NewWriter, not whatever is latest at each
 // flush.
 func TestWriterMergesAgainstCreationSnapshot(t *testing.T) {
+	ctx := context.Background()
 	b := newBed(t, 4)
 	c := b.client("alice")
-	info, _ := c.Create(8)
-	if _, err := c.Write(info.ID, 0, []byte("AAAAAAAABBBBBBBB")); err != nil { // v1
+	info, _ := c.CreateContext(ctx, 8)
+	if _, err := c.WriteContext(ctx, info.ID, 0, []byte("AAAAAAAABBBBBBBB")); err != nil { // v1
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	blob, _ := c.Open(ctx, info.ID)
 	w, err := blob.NewWriter(ctx, 3) // snapshots v1 as the merge base
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write(info.ID, 0, []byte("CCCCCCCCDDDDDDDD")); err != nil { // v2
+	if _, err := c.WriteContext(ctx, info.ID, 0, []byte("CCCCCCCCDDDDDDDD")); err != nil { // v2
 		t.Fatal(err)
 	}
 	if _, err := w.Write([]byte("111112222222")); err != nil { // [3,15): both edges partial
@@ -775,7 +781,7 @@ func TestWriterMergesAgainstCreationSnapshot(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(info.ID, w.Version(), 0, 16)
+	got, err := c.ReadContext(ctx, info.ID, w.Version(), 0, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -421,6 +421,7 @@ func (c *Cluster) Tick(now time.Time) {
 		c.Elast.Tick(now, c.Intro.MeanLoad())
 	}
 	if c.Fault != nil {
+		ctx := controlCtx()
 		// Active failure detection: ping every live provider through its
 		// raw (unguarded, fault-injected) conn, in parallel so one
 		// blackholed provider costs the tick a single CallTimeout, not
@@ -436,25 +437,27 @@ func (c *Cluster) Tick(now time.Time) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_ = c.Fault.Ping(context.Background(), id, conn) //ctxfirst:allow control-plane tick has no caller context; Ping bounds itself with CallTimeout
+				_ = c.Fault.Ping(ctx, id, conn)
 			}()
 		}
 		wg.Wait()
 		if dead := c.Fault.DrainDead(); len(dead) > 0 {
-			_, _ = c.Rep.Scan(now)
+			_, _ = c.Rep.ScanContext(ctx, now)
 		}
 	}
 }
 
-// Heal runs one replication-maintenance scan.
+// Heal runs one replication-maintenance scan. Like Tick, it is
+// control-plane work with no caller context to thread.
 func (c *Cluster) Heal(now time.Time) (selfopt.RepairReport, error) {
-	return c.Rep.Scan(now)
+	return c.Rep.ScanContext(controlCtx(), now)
 }
 
-// HealContext is Heal with cancellation: a cancelled ctx aborts the scan
-// between BLOBs and stops in-flight repair transfers.
-func (c *Cluster) HealContext(ctx context.Context, now time.Time) (selfopt.RepairReport, error) {
-	return c.Rep.ScanContext(ctx, now)
+// controlCtx is the root context of control-plane work that no caller
+// initiates: the periodic tick and replication heals. Nothing cancels
+// it; Ping bounds itself with CallTimeout.
+func controlCtx() context.Context {
+	return context.Background() //ctxfirst:allow control-plane tick and heal have no caller context; Ping bounds itself with CallTimeout
 }
 
 // poolAdapter exposes the cluster's providers as a selfopt.Pool.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -37,17 +38,18 @@ func newCluster(t *testing.T, opts Options) *Cluster {
 }
 
 func TestClusterWriteReadEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	c := newCluster(t, Options{Providers: 4, Monitoring: true})
 	cl := c.Client("alice")
-	info, err := cl.Create(1 << 10)
+	info, err := cl.CreateContext(ctx, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := bytes.Repeat([]byte("blobseer!"), 500)
-	if _, err := cl.Write(info.ID, 0, data); err != nil {
+	if _, err := cl.WriteContext(ctx, info.ID, 0, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.Read(info.ID, 0, 0, int64(len(data)))
+	got, err := cl.ReadContext(ctx, info.ID, 0, 0, int64(len(data)))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read mismatch err=%v", err)
 	}
@@ -65,12 +67,13 @@ func TestClusterWriteReadEndToEnd(t *testing.T) {
 }
 
 func TestClusterMonitoringPipeline(t *testing.T) {
+	ctx := context.Background()
 	now := t0
 	c := newCluster(t, Options{Providers: 2, Monitoring: true, AgentBatch: 1,
 		Clock: func() time.Time { return now }})
 	cl := c.Client("alice")
-	info, _ := cl.Create(64)
-	if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte("x"), 256)); err != nil {
+	info, _ := cl.CreateContext(ctx, 64)
+	if _, err := cl.WriteContext(ctx, info.ID, 0, bytes.Repeat([]byte("x"), 256)); err != nil {
 		t.Fatal(err)
 	}
 	c.Tick(now)
@@ -94,6 +97,7 @@ func TestClusterMonitoringPipeline(t *testing.T) {
 }
 
 func TestClusterDoSDetectionEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	now := t0
 	c := newCluster(t, Options{
 		Providers: 3, Monitoring: true, AgentBatch: 1,
@@ -102,17 +106,17 @@ func TestClusterDoSDetectionEndToEnd(t *testing.T) {
 	})
 	mallory := c.Client("mallory")
 	alice := c.Client("alice")
-	mb, _ := mallory.Create(64)
-	ab, _ := alice.Create(64)
+	mb, _ := mallory.CreateContext(ctx, 64)
+	ab, _ := alice.CreateContext(ctx, 64)
 
 	payload := bytes.Repeat([]byte("z"), 128)
 	for i := 0; i < 300; i++ {
-		if _, err := mallory.Write(mb.ID, 0, payload); err != nil {
+		if _, err := mallory.WriteContext(ctx, mb.ID, 0, payload); err != nil {
 			t.Fatalf("flood write %d: %v", i, err)
 		}
 		now = now.Add(20 * time.Millisecond) // 50 writes/s
 	}
-	if _, err := alice.Write(ab.ID, 0, payload); err != nil {
+	if _, err := alice.WriteContext(ctx, ab.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	c.Tick(now)
@@ -122,7 +126,7 @@ func TestClusterDoSDetectionEndToEnd(t *testing.T) {
 	if c.Enf.Blocked("alice") {
 		t.Fatal("correct client blocked")
 	}
-	if _, err := mallory.Write(mb.ID, 0, payload); !errors.Is(err, policy.ErrBlocked) {
+	if _, err := mallory.WriteContext(ctx, mb.ID, 0, payload); !errors.Is(err, policy.ErrBlocked) {
 		t.Fatalf("blocked write: %v", err)
 	}
 	// Trust dropped.
@@ -135,11 +139,12 @@ func TestClusterDoSDetectionEndToEnd(t *testing.T) {
 }
 
 func TestClusterHealAfterProviderLoss(t *testing.T) {
+	ctx := context.Background()
 	c := newCluster(t, Options{Providers: 5, Replicas: 2, Monitoring: false})
 	cl := c.Client("u")
-	info, _ := cl.Create(256)
+	info, _ := cl.CreateContext(ctx, 256)
 	data := bytes.Repeat([]byte("abc"), 300)
-	if _, err := cl.Write(info.ID, 0, data); err != nil {
+	if _, err := cl.WriteContext(ctx, info.ID, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	victims := c.Providers()[:1]
@@ -150,7 +155,7 @@ func TestClusterHealAfterProviderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatalf("heal: %v (report %+v)", err, report)
 	}
-	got, err := cl.Read(info.ID, 0, 0, int64(len(data)))
+	got, err := cl.ReadContext(ctx, info.ID, 0, 0, int64(len(data)))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after heal: %v", err)
 	}
@@ -181,6 +186,7 @@ func (s putHookStore) Put(id chunk.ID, data []byte) error {
 // acknowledged overwrite. The repair must find the slot changed and
 // leave v2's chunk in place.
 func TestHealDoesNotRevertConcurrentWrite(t *testing.T) {
+	ctx := context.Background()
 	var armed atomic.Bool
 	var hook func()
 	base := storetest.Factory(t)
@@ -198,12 +204,12 @@ func TestHealDoesNotRevertConcurrentWrite(t *testing.T) {
 		},
 	})
 	cl := c.Client("u")
-	info, err := cl.Create(256)
+	info, err := cl.CreateContext(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v1 := bytes.Repeat([]byte{'a'}, 256)
-	if _, err := cl.Write(info.ID, 0, v1); err != nil {
+	if _, err := cl.WriteContext(ctx, info.ID, 0, v1); err != nil {
 		t.Fatal(err)
 	}
 	holder := ""
@@ -219,7 +225,7 @@ func TestHealDoesNotRevertConcurrentWrite(t *testing.T) {
 
 	v2 := bytes.Repeat([]byte{'b'}, 256)
 	hook = func() {
-		if _, err := cl.Write(info.ID, 0, v2); err != nil {
+		if _, err := cl.WriteContext(ctx, info.ID, 0, v2); err != nil {
 			t.Errorf("overwrite during heal: %v", err)
 		}
 	}
@@ -234,7 +240,7 @@ func TestHealDoesNotRevertConcurrentWrite(t *testing.T) {
 	if err != nil || latest.Version != 3 {
 		t.Fatalf("latest = %+v, %v; want v3 (v2 overwrite, then the repair)", latest, err)
 	}
-	got, err := cl.Read(info.ID, 0, 0, 256)
+	got, err := cl.ReadContext(ctx, info.ID, 0, 0, 256)
 	if err != nil || !bytes.Equal(got, v2) {
 		t.Fatalf("read after heal = %.8q, %v; want the v2 overwrite", got, err)
 	}
@@ -260,25 +266,26 @@ func TestClusterElasticity(t *testing.T) {
 }
 
 func TestClusterReaperIntegration(t *testing.T) {
+	ctx := context.Background()
 	now := t0
 	c := newCluster(t, Options{Providers: 2, Monitoring: false,
 		Clock: func() time.Time { return now }})
 	cl := c.Client("u")
-	info, _ := cl.Create(64)
-	if _, err := cl.Write(info.ID, 0, []byte("temporary")); err != nil {
+	info, _ := cl.CreateContext(ctx, 64)
+	if _, err := cl.WriteContext(ctx, info.ID, 0, []byte("temporary")); err != nil {
 		t.Fatal(err)
 	}
 	// NewReaper routes deletions through the lifecycle manager: pins are
 	// honoured and chunk reclaim is exact.
 	reaper := c.NewReaper(selfopt.TTLStrategy{In: c.Intro, TTL: time.Minute})
-	removed, err := reaper.Run(now.Add(time.Hour))
+	removed, err := reaper.RunContext(ctx, now.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(removed) != 1 {
 		t.Fatalf("removed=%v", removed)
 	}
-	if _, err := cl.Read(info.ID, 0, 0, 1); err == nil {
+	if _, err := cl.ReadContext(ctx, info.ID, 0, 0, 1); err == nil {
 		t.Fatal("deleted blob still readable")
 	}
 	for _, id := range c.Providers() {
@@ -289,10 +296,11 @@ func TestClusterReaperIntegration(t *testing.T) {
 }
 
 func TestClusterScaleToRemovesEmptiest(t *testing.T) {
+	ctx := context.Background()
 	c := newCluster(t, Options{Providers: 4, Monitoring: false})
 	cl := c.Client("u")
-	info, _ := cl.Create(64)
-	if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte("k"), 64)); err != nil {
+	info, _ := cl.CreateContext(ctx, 64)
+	if _, err := cl.WriteContext(ctx, info.ID, 0, bytes.Repeat([]byte("k"), 64)); err != nil {
 		t.Fatal(err)
 	}
 	cfg := selfconfig.DefaultConfig()
@@ -306,7 +314,7 @@ func TestClusterScaleToRemovesEmptiest(t *testing.T) {
 		t.Fatalf("decision=%+v", d)
 	}
 	// Data must still be readable (loaded provider retained or healed).
-	if _, err := cl.Read(info.ID, 0, 0, 64); err != nil {
+	if _, err := cl.ReadContext(ctx, info.ID, 0, 0, 64); err != nil {
 		t.Fatalf("read after scale-down: %v", err)
 	}
 }
@@ -322,14 +330,15 @@ func TestClusterBadPolicySource(t *testing.T) {
 }
 
 func TestClusterManyClients(t *testing.T) {
+	ctx := context.Background()
 	c := newCluster(t, Options{Providers: 4, Monitoring: true})
 	for i := 0; i < 8; i++ {
 		cl := c.Client(fmt.Sprintf("user%d", i))
-		info, err := cl.Create(128)
+		info, err := cl.CreateContext(ctx, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte{byte(i)}, 300)); err != nil {
+		if _, err := cl.WriteContext(ctx, info.ID, 0, bytes.Repeat([]byte{byte(i)}, 300)); err != nil {
 			t.Fatal(err)
 		}
 	}

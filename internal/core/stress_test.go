@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -15,6 +16,7 @@ import (
 // replication scanner and provider churn concurrently — the full system
 // under simultaneous load from every subsystem. Run with -race.
 func TestClusterConcurrentStress(t *testing.T) {
+	ctx := context.Background()
 	c, err := NewCluster(Options{
 		Providers: 8, Replicas: 2, BaseDegree: 2,
 		Monitoring: true, AgentBatch: 4,
@@ -36,7 +38,7 @@ func TestClusterConcurrentStress(t *testing.T) {
 		go func(u int) {
 			defer wg.Done()
 			cl := c.Client(fmt.Sprintf("user%d", u))
-			info, err := cl.Create(1 << 10)
+			info, err := cl.CreateContext(ctx, 1<<10)
 			if err != nil {
 				errCh <- err
 				return
@@ -46,11 +48,11 @@ func TestClusterConcurrentStress(t *testing.T) {
 			blobMu.Unlock()
 			payload := bytes.Repeat([]byte{byte('a' + u)}, 4<<10)
 			for i := 0; i < opsPer; i++ {
-				if _, err := cl.Write(info.ID, 0, payload); err != nil {
+				if _, err := cl.WriteContext(ctx, info.ID, 0, payload); err != nil {
 					errCh <- fmt.Errorf("user%d write %d: %w", u, i, err)
 					return
 				}
-				got, err := cl.Read(info.ID, 0, 0, int64(len(payload)))
+				got, err := cl.ReadContext(ctx, info.ID, 0, 0, int64(len(payload)))
 				if err != nil || !bytes.Equal(got, payload) {
 					errCh <- fmt.Errorf("user%d read %d: %w", u, i, err)
 					return
@@ -109,7 +111,7 @@ func TestClusterConcurrentStress(t *testing.T) {
 		cl := c.Client(fmt.Sprintf("user%d", u))
 		blob := blobOf[u]
 		payload := bytes.Repeat([]byte{byte('a' + u)}, 4<<10)
-		got, err := cl.Read(blob, 0, 0, int64(len(payload)))
+		got, err := cl.ReadContext(ctx, blob, 0, 0, int64(len(payload)))
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("user%d final read: %v", u, err)
 		}
@@ -119,6 +121,7 @@ func TestClusterConcurrentStress(t *testing.T) {
 // TestClusterBlockedUserCannotBypassViaNewClientHandle checks that
 // enforcement binds to the identity, not the client object.
 func TestClusterBlockedUserCannotBypassViaNewClientHandle(t *testing.T) {
+	ctx := context.Background()
 	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	c, err := NewCluster(Options{
 		Providers: 2, Monitoring: false,
@@ -130,7 +133,7 @@ func TestClusterBlockedUserCannotBypassViaNewClientHandle(t *testing.T) {
 	c.Enf.Quarantine("mallory", policy.Violation{Time: now, User: "mallory"})
 
 	fresh := c.Client("mallory") // brand-new handle, same identity
-	if _, err := fresh.Create(64); !errors.Is(err, policy.ErrBlocked) {
+	if _, err := fresh.CreateContext(ctx, 64); !errors.Is(err, policy.ErrBlocked) {
 		t.Fatalf("fresh handle bypassed the block: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -447,8 +448,8 @@ func DD1(s Scale) *Table {
 
 // DD2 demonstrates Section V's self-optimization direction on the real
 // plane: replication degree maintained under provider failures, and
-// cold-data removal reclaiming space.
-func DD2(s Scale) *Table {
+// cold-data removal reclaiming space. ctx carries the client I/O.
+func DD2(ctx context.Context, s Scale) *Table {
 	t := &Table{
 		ID:      "DD-2",
 		Title:   "Self-optimization: replication repair after provider failures",
@@ -469,11 +470,11 @@ func DD2(s Scale) *Table {
 		payload := bytes.Repeat([]byte("replicated"), 200)
 		var ids []uint64
 		for i := 0; i < blobs; i++ {
-			info, err := cl.Create(256)
+			info, err := cl.CreateContext(ctx, 256)
 			if err != nil {
 				panic(err)
 			}
-			if _, err := cl.Write(info.ID, 0, payload); err != nil {
+			if _, err := cl.WriteContext(ctx, info.ID, 0, payload); err != nil {
 				panic(err)
 			}
 			ids = append(ids, info.ID)
@@ -492,7 +493,7 @@ func DD2(s Scale) *Table {
 		report, _ := cluster.Heal(time.Now())
 		readable := 0
 		for _, id := range ids {
-			if got, err := cl.Read(id, 0, 0, int64(len(payload))); err == nil && bytes.Equal(got, payload) {
+			if got, err := cl.ReadContext(ctx, id, 0, 0, int64(len(payload))); err == nil && bytes.Equal(got, payload) {
 				readable++
 			}
 		}
@@ -573,8 +574,8 @@ policy flood_lowtrust {
 }
 
 // All runs every experiment at the given scale in order.
-func All(s Scale) []*Table {
+func All(ctx context.Context, s Scale) []*Table {
 	return []*Table{
-		ExpB(s), ExpC1(s), ExpC2(s), ExpC3(s), ExpD(s), DD1(s), DD2(s), DD3(s),
+		ExpB(s), ExpC1(s), ExpC2(s), ExpC3(s), ExpD(s), DD1(s), DD2(ctx, s), DD3(s),
 	}
 }

@@ -177,8 +177,7 @@ type SweepReport struct {
 	// gateway-side base holds and provider-side chunk leases combined.
 	LeasesReaped int
 
-	// Metadata-node sweep (zero when the metadata store does not
-	// implement blobmeta.NodeStore).
+	// Metadata-node sweep.
 	NodesScanned int // tree nodes examined in the metadata store
 	NodesLive    int // nodes reachable from a retained or pinned version
 	NodesKept    int // protected: deferred BLOBs' nodes, in-flight publications, post-snapshot BLOBs
@@ -1311,20 +1310,7 @@ type nodeSweep struct {
 // forgotten in the version manager, ending their bookkeeping.
 func (m *Manager) sweepNodes(ctx context.Context, ms *markSet, dryRun bool) nodeSweep {
 	var res nodeSweep
-	ns, ok := m.vm.MetaStore().(blobmeta.NodeStore)
-	if !ok {
-		return res
-	}
-	// A store whose enumeration may be partial (a ring with shards that
-	// cannot list nodes) still gets its visible dead nodes deleted, but
-	// no BLOB may be forgotten on the strength of an incomplete scan —
-	// the invisible nodes would fall out of every future classification
-	// set and leak forever. The BLOB stays in DeletedBlobs and the next
-	// complete enumeration finishes the job.
-	complete := true
-	if pc, okc := ns.(interface{ NodesComplete() bool }); okc {
-		complete = pc.NodesComplete()
-	}
+	ns := m.vm.MetaStore()
 	dead := make(map[uint64]bool, len(ms.dead))
 	clean := make(map[uint64]bool, len(ms.dead))
 	for _, b := range ms.dead {
@@ -1388,7 +1374,7 @@ func (m *Manager) sweepNodes(ctx context.Context, ms *markSet, dryRun bool) node
 			}
 		}
 	}
-	if !dryRun && complete {
+	if !dryRun {
 		for _, b := range ms.dead {
 			if clean[b] {
 				// Forget is idempotent metadata cleanup; a failure means

@@ -79,21 +79,21 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // concurrent delete queues behind the pin, the reader serves its full
 // window, and the drained pin reclaims synchronously on Close.
 func TestPinDefersDeleteUntilClose(t *testing.T) {
+	ctx := context.Background()
 	c := newCluster(t, core.Options{Providers: 3, Monitoring: false})
 	cl := c.Client("alice")
-	info, err := cl.Create(1 << 10)
+	info, err := cl.CreateContext(ctx, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte("pinned-data!"), 512) // 6 KiB = 6 chunks
-	if _, err := cl.Write(info.ID, 0, payload); err != nil {
+	if _, err := cl.WriteContext(ctx, info.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	if totalChunks(c) == 0 {
 		t.Fatal("no chunks stored")
 	}
 
-	ctx := context.Background()
 	b, err := cl.Open(ctx, info.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -148,13 +148,14 @@ func TestPinDefersDeleteUntilClose(t *testing.T) {
 // versions, pinned versions are skipped until their reader closes, and
 // the sweep reclaims chunks only retired versions referenced.
 func TestRetentionRetiresOldVersions(t *testing.T) {
+	ctx := context.Background()
 	now := t0
 	c := newCluster(t, core.Options{
 		Providers: 3, Monitoring: false,
 		Clock: func() time.Time { return now },
 	})
 	cl := c.Client("alice")
-	info, err := cl.Create(256)
+	info, err := cl.CreateContext(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestRetentionRetiresOldVersions(t *testing.T) {
 	// older versions' chunks are exclusive to them.
 	for i := 0; i < 4; i++ {
 		data := bytes.Repeat([]byte{byte('a' + i)}, 256)
-		if _, err := cl.Write(info.ID, 0, data); err != nil {
+		if _, err := cl.WriteContext(ctx, info.ID, 0, data); err != nil {
 			t.Fatal(err)
 		}
 		now = now.Add(time.Minute)
@@ -212,7 +213,7 @@ func TestRetentionRetiresOldVersions(t *testing.T) {
 		t.Fatalf("chunks after sweep = %d, want 2 (v3+v4)", got)
 	}
 	// The surviving versions still read back.
-	got, err := cl.Read(info.ID, 3, 0, 256)
+	got, err := cl.ReadContext(ctx, info.ID, 3, 0, 256)
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{'c'}, 256)) {
 		t.Fatalf("v3 read after sweep: %v", err)
 	}
@@ -240,13 +241,14 @@ func TestRetentionRetiresOldVersions(t *testing.T) {
 // and a sweep — after which every provider is exactly back at its
 // pre-blob baseline while the pinned reader saw its full version.
 func TestSweepAcceptance(t *testing.T) {
+	ctx := context.Background()
 	c := newCluster(t, core.Options{
 		Providers: 4, Replicas: 2, Monitoring: false,
 	})
 	baseline := chunkCounts(c)
 
 	cl := c.Client("alice")
-	info, err := cl.Create(512)
+	info, err := cl.CreateContext(ctx, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,15 +260,15 @@ func TestSweepAcceptance(t *testing.T) {
 	v1 = append(v1, bytes.Repeat([]byte{'B'}, 512)...)
 	v1 = append(v1, bytes.Repeat([]byte{'B'}, 512)...)
 	v1 = append(v1, bytes.Repeat([]byte{'D'}, 512)...)
-	if _, err := cl.Write(blob, 0, v1); err != nil {
+	if _, err := cl.WriteContext(ctx, blob, 0, v1); err != nil {
 		t.Fatal(err)
 	}
 	// v2: overwrite slot 0 with slot 3's content (cross-version overlap).
-	if _, err := cl.Write(blob, 0, bytes.Repeat([]byte{'D'}, 512)); err != nil {
+	if _, err := cl.WriteContext(ctx, blob, 0, bytes.Repeat([]byte{'D'}, 512)); err != nil {
 		t.Fatal(err)
 	}
 	// v3: append a fresh slot.
-	if _, err := cl.Append(blob, bytes.Repeat([]byte{'E'}, 512)); err != nil {
+	if _, err := cl.AppendContext(ctx, blob, bytes.Repeat([]byte{'E'}, 512)); err != nil {
 		t.Fatal(err)
 	}
 	want := append(append([]byte{}, bytes.Repeat([]byte{'D'}, 512)...), v1[512:]...)
@@ -296,7 +298,6 @@ func TestSweepAcceptance(t *testing.T) {
 	stopped.Restart()
 
 	// Pinned streaming reader opened before the delete.
-	ctx := context.Background()
 	bh, err := cl.Open(ctx, blob)
 	if err != nil {
 		t.Fatal(err)
@@ -353,13 +354,13 @@ func TestSweepAcceptance(t *testing.T) {
 // that has not yet published survive a sweep because the writer's lease
 // protects them, and are marked live once the version publishes.
 func TestSweepGraceProtectsUnpublishedWriter(t *testing.T) {
+	ctx := context.Background()
 	c := newCluster(t, core.Options{Providers: 2, Monitoring: false})
 	cl := c.Client("alice")
-	info, err := cl.Create(256)
+	info, err := cl.CreateContext(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	b, err := cl.Open(ctx, info.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -397,7 +398,7 @@ func TestSweepGraceProtectsUnpublishedWriter(t *testing.T) {
 	if rep.Live != 1 || rep.Swept != 0 {
 		t.Fatalf("sweep after publish = %+v, want Live 1", rep)
 	}
-	got, err := cl.Read(info.ID, 0, 0, 256)
+	got, err := cl.ReadContext(ctx, info.ID, 0, 0, 256)
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{'x'}, 256)) {
 		t.Fatalf("read after sweeps: %v", err)
 	}
@@ -482,6 +483,7 @@ func (lc *lateConn) deliver() {
 // references the chunk and the writer's StoredChunks never saw it — the
 // sweep classifies it as unreferenced and reclaims it.
 func TestSweepReclaimsLateCompletedStore(t *testing.T) {
+	ctx := context.Background()
 	vm := vmanager.New(blobmeta.NewMemStore("m1", nil, nil), vmanager.WithSpan(1<<20))
 	pm := pmanager.New(pmanager.WithTTL(0))
 	p := provider.New("p00", "z0", 0)
@@ -495,7 +497,7 @@ func TestSweepReclaimsLateCompletedStore(t *testing.T) {
 	cl := client.New("alice", vm, pm, dir)
 	m := gc.New(vm, testProviders{m: map[string]*provider.Provider{"p00": p}})
 
-	info, err := cl.Create(256)
+	info, err := cl.CreateContext(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,6 +581,7 @@ func (f *flakyMeta) Get(k blobmeta.NodeKey) (blobmeta.Node, bool, error) {
 // unmarked and purged. Regression: mark used to `continue` on any
 // Versions/Tree error.
 func TestSweepAbortsOnMarkErrors(t *testing.T) {
+	ctx := context.Background()
 	meta := &flakyMeta{MemStore: blobmeta.NewMemStore("m1", nil, nil)}
 	vm := vmanager.New(meta, vmanager.WithSpan(1<<20))
 	fvm := &flakyVM{VersionManager: vm}
@@ -593,18 +596,17 @@ func TestSweepAbortsOnMarkErrors(t *testing.T) {
 	cl := client.New("alice", vm, pm, dir)
 	m := gc.New(fvm, testProviders{m: map[string]*provider.Provider{"p00": p}})
 
-	info, err := cl.Create(256)
+	info, err := cl.CreateContext(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte{'x'}, 1024)); err != nil {
+	if _, err := cl.WriteContext(ctx, info.ID, 0, bytes.Repeat([]byte{'x'}, 1024)); err != nil {
 		t.Fatal(err)
 	}
 	want := p.Stats().Chunks
 	if want == 0 {
 		t.Fatal("no chunks stored")
 	}
-	ctx := context.Background()
 
 	fvm.failVersions.Store(true)
 	if _, err := m.Sweep(ctx, false); !errors.Is(err, errPlane) {
@@ -677,12 +679,12 @@ func TestNodeSweepAcceptance(t *testing.T) {
 
 	// Blob A: four versions fully overwriting the same four slots, so
 	// each superseded version's leaves are reachable only from itself.
-	a, err := cl.Create(256)
+	a, err := cl.CreateContext(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := cl.Write(a.ID, 0, bytes.Repeat([]byte{byte('a' + i)}, 1024)); err != nil {
+		if _, err := cl.WriteContext(ctx, a.ID, 0, bytes.Repeat([]byte{byte('a' + i)}, 1024)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -706,12 +708,12 @@ func TestNodeSweepAcceptance(t *testing.T) {
 
 	// Blob B: a version that is retired *while pinned* (the pin/retire
 	// race) keeps all its nodes and chunks until the pin drains.
-	b, err := cl.Create(256)
+	b, err := cl.CreateContext(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := cl.Write(b.ID, 0, bytes.Repeat([]byte{byte('p' + i)}, 1024)); err != nil {
+		if _, err := cl.WriteContext(ctx, b.ID, 0, bytes.Repeat([]byte{byte('p' + i)}, 1024)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -795,71 +797,6 @@ func TestNodeSweepAcceptance(t *testing.T) {
 	}
 }
 
-// blindStore hides a MemStore's NodeStore methods: a ring shard that
-// cannot enumerate or delete nodes.
-type blindStore struct {
-	s *blobmeta.MemStore
-}
-
-func (b blindStore) Put(k blobmeta.NodeKey, n blobmeta.Node) error { return b.s.Put(k, n) }
-func (b blindStore) Get(k blobmeta.NodeKey) (blobmeta.Node, bool, error) {
-	return b.s.Get(k)
-}
-func (b blindStore) Len() int { return b.s.Len() }
-
-// TestNodeSweepPartialRingNeverForgets: a ring with a shard that cannot
-// list nodes must never conclude a deleted BLOB is fully reclaimed —
-// forgetting it would orphan the invisible nodes forever. The BLOB
-// stays in DeletedBlobs so a later complete enumeration can finish.
-func TestNodeSweepPartialRingNeverForgets(t *testing.T) {
-	full := blobmeta.NewMemStore("m0", nil, nil)
-	blind := blindStore{s: blobmeta.NewMemStore("m1", nil, nil)}
-	ring, err := blobmeta.NewRing(full, blind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm := vmanager.New(ring, vmanager.WithSpan(1<<20))
-	pm := pmanager.New(pmanager.WithTTL(0))
-	p := provider.New("p00", "z0", 0)
-	if err := pm.Register(pmanager.Info{ID: "p00", Zone: "z0"}); err != nil {
-		t.Fatal(err)
-	}
-	dir := client.DirectoryFunc(func(context.Context, string) (client.Conn, error) {
-		return p, nil
-	})
-	cl := client.New("alice", vm, pm, dir)
-	m := gc.New(vm, testProviders{m: map[string]*provider.Provider{"p00": p}})
-
-	info, err := cl.Create(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte{'n'}, 1024)); err != nil {
-		t.Fatal(err)
-	}
-	if blind.s.Len() == 0 {
-		t.Fatal("no nodes landed on the blind shard; widen the write")
-	}
-	ctx := context.Background()
-	if err := m.DeleteBlob(ctx, info.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Sweep(ctx, false); err != nil {
-		t.Fatal(err)
-	}
-	// The visible shard's dead nodes are reclaimed, the blind shard's
-	// survive, and — decisively — the BLOB is not forgotten.
-	if got := full.Len(); got != 0 {
-		t.Fatalf("visible shard still holds %d nodes", got)
-	}
-	if blind.s.Len() == 0 {
-		t.Fatal("blind shard's nodes vanished")
-	}
-	if got := vm.DeletedBlobs(); len(got) != 1 || got[0] != info.ID {
-		t.Fatalf("deleted blobs = %v, want [%d]: partial enumeration must not forget", got, info.ID)
-	}
-}
-
 // TestParallelMarkMatchesNaiveWalk is the end-to-end equivalence
 // harness: over a randomized population of multi-version BLOBs
 // (overwrites, appends, holes, retirements), the chunks surviving a
@@ -872,7 +809,7 @@ func TestParallelMarkMatchesNaiveWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 
 	for b := 0; b < 10; b++ {
-		info, err := cl.Create(128)
+		info, err := cl.CreateContext(ctx, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -882,18 +819,18 @@ func TestParallelMarkMatchesNaiveWalk(t *testing.T) {
 			case 0: // overwrite at a random chunk-aligned offset
 				off := int64(rng.Intn(8)) * 128
 				data := []byte(fmt.Sprintf("b%d-v%d-ow-%032d", b, v, rng.Int63()))
-				if _, err := cl.Write(info.ID, off, data); err != nil {
+				if _, err := cl.WriteContext(ctx, info.ID, off, data); err != nil {
 					t.Fatal(err)
 				}
 			case 1: // append
 				data := bytes.Repeat([]byte{byte(rng.Intn(256))}, 128*(rng.Intn(3)+1))
-				if _, err := cl.Append(info.ID, data); err != nil {
+				if _, err := cl.AppendContext(ctx, info.ID, data); err != nil {
 					t.Fatal(err)
 				}
 			default: // sparse write far out (holes in between)
 				off := int64(rng.Intn(64)+16) * 128
 				data := []byte(fmt.Sprintf("b%d-v%d-sp-%032d", b, v, rng.Int63()))
-				if _, err := cl.Write(info.ID, off, data); err != nil {
+				if _, err := cl.WriteContext(ctx, info.ID, off, data); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -1010,7 +947,7 @@ func TestParallelMarkVsConcurrentLifecycle(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			for i := 0; i < 12; i++ {
-				info, err := cl.Create(256)
+				info, err := cl.CreateContext(ctx, 256)
 				if err != nil {
 					t.Error(err)
 					return
@@ -1018,7 +955,7 @@ func TestParallelMarkVsConcurrentLifecycle(t *testing.T) {
 				// Multi-version blob: publishes race the mark walks.
 				for v := 0; v < 3; v++ {
 					payload := bytes.Repeat([]byte{byte('a' + (w+i+v)%5)}, 512)
-					if _, err := cl.Write(info.ID, 0, payload); err != nil {
+					if _, err := cl.WriteContext(ctx, info.ID, 0, payload); err != nil {
 						t.Error(err)
 						return
 					}
@@ -1059,13 +996,14 @@ func TestParallelMarkVsConcurrentLifecycle(t *testing.T) {
 
 // TestSweepDryRunRemovesNothing: dry-run classifies without purging.
 func TestSweepDryRunRemovesNothing(t *testing.T) {
+	ctx := context.Background()
 	c := newCluster(t, core.Options{Providers: 2, Monitoring: false})
 	cl := c.Client("alice")
-	info, err := cl.Create(256)
+	info, err := cl.CreateContext(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte{'q'}, 512)); err != nil {
+	if _, err := cl.WriteContext(ctx, info.ID, 0, bytes.Repeat([]byte{'q'}, 512)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.GC.DeleteBlob(context.Background(), info.ID); err != nil {
@@ -1125,17 +1063,17 @@ func TestRunnerLifecycle(t *testing.T) {
 // BenchmarkSweep measures one dry-run mark-and-sweep pass over a
 // populated cluster (dry-run so the population survives iterations).
 func BenchmarkSweep(b *testing.B) {
+	ctx := context.Background()
 	c, err := core.NewCluster(core.Options{Providers: 4, Monitoring: false})
 	if err != nil {
 		b.Fatal(err)
 	}
 	cl := c.Client("bench")
-	info, err := cl.Create(4 << 10)
+	info, err := cl.CreateContext(ctx, 4<<10)
 	if err != nil {
 		b.Fatal(err)
 	}
 	buf := make([]byte, 4<<10)
-	ctx := context.Background()
 	bh, _ := cl.Open(ctx, info.ID)
 	w, _ := bh.NewWriter(ctx, 0)
 	for i := 0; i < 1000; i++ {
@@ -1215,19 +1153,19 @@ func TestForegroundOpsNotBehindSweep(t *testing.T) {
 
 	ctx := context.Background()
 	cl := c.Client("alice")
-	infoA, err := cl.Create(1 << 10)
+	infoA, err := cl.CreateContext(ctx, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Write(infoA.ID, 0, bytes.Repeat([]byte{'a'}, 4<<10)); err != nil {
+	if _, err := cl.WriteContext(ctx, infoA.ID, 0, bytes.Repeat([]byte{'a'}, 4<<10)); err != nil {
 		t.Fatal(err)
 	}
-	infoB, err := cl.Create(1 << 10)
+	infoB, err := cl.CreateContext(ctx, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{'b'}, 4<<10)
-	if _, err := cl.Write(infoB.ID, 0, payload); err != nil {
+	if _, err := cl.WriteContext(ctx, infoB.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	bh, err := cl.Open(ctx, infoB.ID)
@@ -1347,7 +1285,7 @@ func TestDecrementVsPurgeInterleaving(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			for i := 0; i < 20; i++ {
-				info, err := cl.Create(256)
+				info, err := cl.CreateContext(ctx, 256)
 				if err != nil {
 					t.Error(err)
 					return
@@ -1356,7 +1294,7 @@ func TestDecrementVsPurgeInterleaving(t *testing.T) {
 				// the same chunk IDs are decremented, purged and
 				// re-stored concurrently.
 				payload := bytes.Repeat([]byte{byte('a' + (w+i)%3)}, 512)
-				if _, err := cl.Write(info.ID, 0, payload); err != nil {
+				if _, err := cl.WriteContext(ctx, info.ID, 0, payload); err != nil {
 					t.Error(err)
 					return
 				}

@@ -35,7 +35,7 @@ func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 		})
 		cl := c.Client("alice")
 		ctx := context.Background()
-		info, err := cl.Create(256)
+		info, err := cl.CreateContext(ctx, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 			// The writer publishes a version whose chunk is gone: the
 			// upload demonstrably lost data.
 			_ = w.Close()
-			if got, err := cl.Read(info.ID, 0, 0, 256); err == nil && bytes.Equal(got, payload) {
+			if got, err := cl.ReadContext(ctx, info.ID, 0, 0, 256); err == nil && bytes.Equal(got, payload) {
 				t.Fatal("read succeeded after the chunk was swept — the race did not manifest")
 			}
 			return
@@ -82,7 +82,7 @@ func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := cl.Read(info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, payload) {
+		if got, err := cl.ReadContext(ctx, info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("read after publish: %v", err)
 		}
 		if st := c.GC.Stats(); st.ActiveLeases != 0 {
@@ -145,7 +145,7 @@ func TestLeaseBlocksPurgeOfReusedChunk(t *testing.T) {
 		})
 		cl := c.Client("alice")
 		ctx := context.Background()
-		info, err := cl.Create(256)
+		info, err := cl.CreateContext(ctx, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestLeaseBlocksPurgeOfReusedChunk(t *testing.T) {
 			t.Fatalf("sweep: %v", err)
 		}
 
-		got, err := cl.Read(info.ID, 0, 0, 256)
+		got, err := cl.ReadContext(ctx, info.ID, 0, 0, 256)
 		if leases {
 			if err != nil || !bytes.Equal(got, payload) {
 				t.Fatalf("read after re-put vs purge: %v", err)
@@ -230,13 +230,13 @@ func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 		})
 		cl := c.Client("alice")
 		ctx := context.Background()
-		info, err := cl.Create(256)
+		info, err := cl.CreateContext(ctx, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// v1: the base content the writer's partial slot merges against.
 		baseData := bytes.Repeat([]byte{'A'}, 256)
-		if _, err := cl.Write(info.ID, 0, baseData); err != nil {
+		if _, err := cl.WriteContext(ctx, info.ID, 0, baseData); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.VM.SetRetention(info.ID, vmanager.Retention{KeepLast: 1}); err != nil {
@@ -256,7 +256,7 @@ func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 
 		// v2 publishes while the writer streams: v1 is now a retention
 		// candidate under KeepLast:1.
-		if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte{'B'}, 256)); err != nil {
+		if _, err := cl.WriteContext(ctx, info.ID, 0, bytes.Repeat([]byte{'B'}, 256)); err != nil {
 			t.Fatal(err)
 		}
 		rrep, err := c.GC.EnforceRetention(ctx, t0)
@@ -281,7 +281,7 @@ func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 		_, werr := w.Write(bytes.Repeat([]byte{'C'}, 128))
 		cerr := w.Close()
 		want := append(bytes.Repeat([]byte{'A'}, 128), bytes.Repeat([]byte{'C'}, 128)...)
-		got, rerr := cl.Read(info.ID, 0, 0, 256)
+		got, rerr := cl.ReadContext(ctx, info.ID, 0, 0, 256)
 
 		if leases {
 			if werr != nil || cerr != nil || rerr != nil || !bytes.Equal(got, want) {
@@ -375,7 +375,7 @@ func TestLeaseReleaseHeldUntilPassEnds(t *testing.T) {
 			cl := client.New("alice", vm, pm, dir, client.WithLeaser(managerLeaser{m}))
 
 			ctx := context.Background()
-			info, err := cl.Create(256)
+			info, err := cl.CreateContext(ctx, 256)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -430,7 +430,7 @@ func TestLeaseReleaseHeldUntilPassEnds(t *testing.T) {
 			if leases, _ := p.Leases(ctx); len(leases) != 0 {
 				t.Fatalf("held release not flushed at pass end: %+v", leases)
 			}
-			if got, err := cl.Read(info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, payload) {
+			if got, err := cl.ReadContext(ctx, info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, payload) {
 				t.Fatalf("read after sweep: %v", err)
 			}
 			// The next pass marks the published version.
@@ -454,7 +454,7 @@ func TestQueuedPublicationSurvivesSweep(t *testing.T) {
 	c := newCluster(t, core.Options{Providers: 2, Monitoring: false})
 	cl := c.Client("alice")
 	ctx := context.Background()
-	info, err := cl.Create(256)
+	info, err := cl.CreateContext(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestQueuedPublicationSurvivesSweep(t *testing.T) {
 	if err := c.VM.Abort(info.ID, first.Version); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := cl.Read(info.ID, 0, 256, 256); err != nil || !bytes.Equal(got, payload) {
+	if got, err := cl.ReadContext(ctx, info.ID, 0, 256, 256); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read of the drained version: %v", err)
 	}
 }
@@ -543,7 +543,7 @@ func TestLeaseReleaseReachesOnlyLeasedProviders(t *testing.T) {
 	cl := client.New("alice", vm, pm, dir, client.WithLeaser(managerLeaser{m}), client.WithReplicas(2))
 
 	ctx := context.Background()
-	info, err := cl.Create(256)
+	info, err := cl.CreateContext(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +557,7 @@ func TestLeaseReleaseReachesOnlyLeasedProviders(t *testing.T) {
 		return out
 	}
 
-	if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte{'r'}, 256)); err != nil {
+	if _, err := cl.WriteContext(ctx, info.ID, 0, bytes.Repeat([]byte{'r'}, 256)); err != nil {
 		t.Fatal(err)
 	}
 	held := holders()
@@ -581,7 +581,7 @@ func TestLeaseReleaseReachesOnlyLeasedProviders(t *testing.T) {
 		rp.fail[id] = true
 	}
 	rp.mu.Unlock()
-	if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte{'s'}, 256)); err != nil {
+	if _, err := cl.WriteContext(ctx, info.ID, 0, bytes.Repeat([]byte{'s'}, 256)); err != nil {
 		t.Fatal(err)
 	}
 	failed := m.Stats().LeaseReleaseFailures
@@ -615,7 +615,7 @@ func TestLeaseReleaseReachesOnlyLeasedProviders(t *testing.T) {
 	if rep.LeasesReaped == 0 || leases() != 0 {
 		t.Fatalf("sweep = %+v with %d leases left, want the expired lease reaped", rep, leases())
 	}
-	if got, err := cl.Read(info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{'s'}, 256)) {
+	if got, err := cl.ReadContext(ctx, info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{'s'}, 256)) {
 		t.Fatalf("read after sweep: %v", err)
 	}
 }
@@ -662,6 +662,7 @@ func TestLeaseEnumerationFailureAbortsSweep(t *testing.T) {
 // sweep reaps the record on both planes and reclaims the chunks it
 // protected — a dead writer cannot pin storage forever.
 func TestLeaseExpiryReapedBySweep(t *testing.T) {
+	ctx := context.Background()
 	var mu sync.Mutex
 	now := t0
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
@@ -671,7 +672,7 @@ func TestLeaseExpiryReapedBySweep(t *testing.T) {
 		Providers: 2, Monitoring: false, Clock: clock,
 	})
 	cl := c.Client("alice")
-	info, err := cl.Create(256)
+	info, err := cl.CreateContext(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -691,7 +692,6 @@ func TestLeaseExpiryReapedBySweep(t *testing.T) {
 	// The writer crashes: context dies, Close never runs.
 	cancel()
 
-	ctx := context.Background()
 	rep, err := c.GC.Sweep(ctx, false)
 	if err != nil {
 		t.Fatal(err)
@@ -773,7 +773,7 @@ func TestLeaseHammerConvergence(t *testing.T) {
 		go func(wi int) {
 			defer writers.Done()
 			for i := 0; i < 8; i++ {
-				info, err := cl.Create(256)
+				info, err := cl.CreateContext(ctx, 256)
 				if err != nil {
 					continue
 				}

@@ -362,11 +362,6 @@ func WithCallTimeout(d time.Duration) ConnOption {
 	return func(c *Conn) { c.timeout = d }
 }
 
-// Dial connects to a provider server.
-func Dial(addr string, opts ...ConnOption) (*Conn, error) {
-	return DialContext(context.Background(), addr, opts...) //ctxfirst:allow compat wrapper; ctx-aware callers use DialContext
-}
-
 // DialContext connects to a provider server, honouring ctx cancellation
 // and deadline during TCP establishment.
 func DialContext(ctx context.Context, addr string, opts ...ConnOption) (*Conn, error) {

@@ -31,7 +31,7 @@ func startProvider(t *testing.T, id string) (*provider.Provider, *Server) {
 
 func TestStoreFetchOverTCP(t *testing.T) {
 	_, srv := startProvider(t, "p1")
-	conn, err := Dial(srv.Addr())
+	conn, err := DialContext(bg, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestStoreFetchOverTCP(t *testing.T) {
 
 func TestRemoteErrorsPropagate(t *testing.T) {
 	_, srv := startProvider(t, "p1")
-	conn, err := Dial(srv.Addr())
+	conn, err := DialContext(bg, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,15 +105,15 @@ func TestClientOverTCPEndToEnd(t *testing.T) {
 		}
 	}
 	cl := client.New("alice", vm, pm, dir, client.WithReplicas(2))
-	info, err := cl.Create(1 << 10)
+	info, err := cl.CreateContext(bg, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte("tcp-blobseer"), 600)
-	if _, err := cl.Write(info.ID, 0, payload); err != nil {
+	if _, err := cl.WriteContext(bg, info.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.Read(info.ID, 0, 0, int64(len(payload)))
+	got, err := cl.ReadContext(bg, info.ID, 0, 0, int64(len(payload)))
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read mismatch err=%v", err)
 	}
@@ -127,7 +127,7 @@ func TestServerCloseStopsAccept(t *testing.T) {
 	if err := srv.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if _, err := Dial(srv.Addr()); err == nil {
+	if _, err := DialContext(bg, srv.Addr()); err == nil {
 		t.Fatal("dial succeeded after close")
 	}
 }
@@ -167,7 +167,7 @@ func TestDirectoryRegisterReplaces(t *testing.T) {
 // chunk listing and bulk purge.
 func TestLifecycleRPCs(t *testing.T) {
 	p, srv := startProvider(t, "p1")
-	conn, err := Dial(srv.Addr())
+	conn, err := DialContext(bg, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestCallDeadlineOverTCP(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	conn, err := Dial(srv.Addr())
+	conn, err := DialContext(bg, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestCallDeadlineOverTCP(t *testing.T) {
 	// The expired wire deadline killed the conn; a fresh one with a
 	// conn-level default timeout must bound Fetch the same way even on
 	// a deadline-free context.
-	conn2, err := Dial(srv.Addr(), WithCallTimeout(150*time.Millisecond))
+	conn2, err := DialContext(bg, srv.Addr(), WithCallTimeout(150*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestDirectoryDropsBrokenConn(t *testing.T) {
 // release makes the chunks purgeable again.
 func TestLeaseRPCs(t *testing.T) {
 	p, srv := startProvider(t, "p1")
-	conn, err := Dial(srv.Addr())
+	conn, err := DialContext(bg, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -372,7 +372,7 @@ func (g *Gateway) objectOp(w http.ResponseWriter, r *http.Request, user, bucket,
 	case http.MethodGet, http.MethodHead:
 		g.getObject(w, r, user, bucket, key)
 	case http.MethodDelete:
-		g.deleteObject(w, user, bucket, key)
+		g.deleteObject(w, r, user, bucket, key)
 	default:
 		writeErr(w, http.StatusMethodNotAllowed, "MethodNotAllowed", r.Method)
 	}
@@ -414,7 +414,7 @@ func (g *Gateway) putObject(w http.ResponseWriter, r *http.Request, user, bucket
 	bw, err := blob.NewWriter(ctx, 0)
 	if err != nil {
 		writeOpErr(w, err)
-		g.reclaim(info.ID)
+		g.reclaim(r.Context(), info.ID)
 		return
 	}
 	// abandon aborts the stream (cancel keeps Close from publishing a
@@ -431,8 +431,8 @@ func (g *Gateway) putObject(w http.ResponseWriter, r *http.Request, user, bucket
 		// The abandoned upload's ctx is already cancelled; cleanup must
 		// still run to completion or the flushed chunks leak until the
 		// next sweep.
-		g.cluster.GC.ReclaimDescs(context.Background(), bw.StoredChunks()) //ctxfirst:allow cleanup after cancellation must not itself be cancellable
-		g.reclaim(info.ID)
+		g.cluster.GC.ReclaimDescs(context.WithoutCancel(r.Context()), bw.StoredChunks())
+		g.reclaim(r.Context(), info.ID)
 	}
 	// Reading one byte past the limit distinguishes an oversized body
 	// from one that is exactly the limit, without buffering either. At
@@ -476,7 +476,7 @@ func (g *Gateway) putObject(w http.ResponseWriter, r *http.Request, user, bucket
 	objs, ok := g.buckets[bucket]
 	if !ok {
 		g.mu.Unlock()
-		g.reclaim(info.ID)
+		g.reclaim(r.Context(), info.ID)
 		writeErr(w, http.StatusNotFound, "NoSuchBucket", bucket)
 		return
 	}
@@ -490,7 +490,7 @@ func (g *Gateway) putObject(w http.ResponseWriter, r *http.Request, user, bucket
 	}
 	g.mu.Unlock()
 	if oldBlob != 0 {
-		g.reclaim(oldBlob)
+		g.reclaim(r.Context(), oldBlob)
 	}
 	w.Header().Set("ETag", etag)
 	w.WriteHeader(http.StatusOK)
@@ -630,7 +630,7 @@ func (g *Gateway) getObject(w http.ResponseWriter, r *http.Request, user, bucket
 	_, _ = io.Copy(w, rd)
 }
 
-func (g *Gateway) deleteObject(w http.ResponseWriter, user, bucket, key string) {
+func (g *Gateway) deleteObject(w http.ResponseWriter, r *http.Request, user, bucket, key string) {
 	g.mu.Lock()
 	objs, ok := g.buckets[bucket]
 	var o *object
@@ -645,7 +645,7 @@ func (g *Gateway) deleteObject(w http.ResponseWriter, user, bucket, key string) 
 		writeErr(w, http.StatusNotFound, "NoSuchKey", bucket+"/"+key)
 		return
 	}
-	g.reclaim(o.blob)
+	g.reclaim(r.Context(), o.blob)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -654,11 +654,11 @@ func (g *Gateway) deleteObject(w http.ResponseWriter, user, bucket, key string) 
 // per slot, so repeated-content slots balance), and a version pinned by
 // an in-flight streaming GET defers reclamation until the reader closes
 // instead of truncating the response mid-stream.
-func (g *Gateway) reclaim(blob uint64) {
-	// Deliberately decoupled from the request ctx: the DELETE response
-	// has already been committed, and an aborted reclaim would strand
-	// the blob's chunks until the next sweep.
-	_ = g.cluster.GC.DeleteBlob(context.Background(), blob) //ctxfirst:allow reclaim runs after the response; aborting it strands chunks
+func (g *Gateway) reclaim(ctx context.Context, blob uint64) {
+	// Deliberately immune to the request's cancellation: the object is
+	// already unlinked from its bucket, and an aborted reclaim would
+	// strand the blob's chunks until the next sweep.
+	_ = g.cluster.GC.DeleteBlob(context.WithoutCancel(ctx), blob)
 }
 
 // Buckets returns the bucket names (diagnostics).

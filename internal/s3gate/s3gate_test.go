@@ -144,6 +144,26 @@ func TestDeleteObjectAndBucket(t *testing.T) {
 	}
 }
 
+// TestDeleteWithCancelledRequestReclaims serves a DELETE whose request
+// ctx is already cancelled (the client hung up): the object is unlinked,
+// so its chunks must still be reclaimed in full, with no sweep to
+// collect them later.
+func TestDeleteWithCancelledRequestReclaims(t *testing.T) {
+	g, srv := newGateway(t, WithChunkSize(64))
+	do(t, http.MethodPut, srv.URL+"/b", nil)
+	do(t, http.MethodPut, srv.URL+"/b/k", bytes.Repeat([]byte("d"), 512))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodDelete, "/b/k", nil).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	g.ServeHTTP(rec, req)
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("delete with cancelled ctx: %d %s", rec.Code, rec.Body)
+	}
+	providersEmpty(t, g.cluster, "after delete with cancelled ctx")
+}
+
 func TestOverwriteReclaimsOldBlob(t *testing.T) {
 	g, srv := newGateway(t)
 	do(t, http.MethodPut, srv.URL+"/b", nil)

@@ -121,17 +121,12 @@ func (r *Replicator) TargetDegree(blob uint64) int {
 	return deg
 }
 
-// Scan walks the latest version of every BLOB, re-replicating chunks
-// whose live replica count is below the target degree. Repairs are
-// published as a new metadata version per BLOB (chunks are immutable, so
-// repair means new descriptors, not data rewrites) through
+// ScanContext walks the latest version of every BLOB, re-replicating
+// chunks whose live replica count is below the target degree. Repairs
+// are published as a new metadata version per BLOB (chunks are
+// immutable, so repair means new descriptors, not data rewrites) through
 // vmanager.PublishRepair, which drops any repaired slot a concurrent
-// write has overwritten since the walk.
-func (r *Replicator) Scan(now time.Time) (RepairReport, error) {
-	return r.ScanContext(context.Background(), now) //ctxfirst:allow compat wrapper; ctx-aware callers use ScanContext
-}
-
-// ScanContext is Scan with cancellation: a cancelled ctx aborts the pass
+// write has overwritten since the walk. A cancelled ctx aborts the pass
 // between BLOBs and stops in-flight repair transfers.
 func (r *Replicator) ScanContext(ctx context.Context, now time.Time) (RepairReport, error) {
 	rep := RepairReport{Time: now}
@@ -363,13 +358,8 @@ func NewReaper(d BlobDeleter, emit instrument.Emitter, strategies ...Strategy) *
 	return &Reaper{deleter: d, strategies: strategies, emit: emit}
 }
 
-// Run performs one reaping pass, returning the BLOBs removed.
-func (r *Reaper) Run(now time.Time) ([]uint64, error) {
-	return r.RunContext(context.Background(), now) //ctxfirst:allow compat wrapper; ctx-aware callers use RunContext
-}
-
-// RunContext is Run with cancellation: a cancelled ctx aborts the pass
-// between BLOBs.
+// RunContext performs one reaping pass, returning the BLOBs removed. A
+// cancelled ctx aborts the pass between BLOBs.
 func (r *Reaper) RunContext(ctx context.Context, now time.Time) ([]uint64, error) {
 	seen := map[uint64]bool{}
 	var victims []uint64

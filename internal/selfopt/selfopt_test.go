@@ -119,12 +119,13 @@ func liveReplicas(t *testing.T, r *rig, blob uint64) []string {
 }
 
 func TestScanRepairsLostReplica(t *testing.T) {
+	ctx := context.Background()
 	r := newRig(t, 5)
 	blob := r.writeBlob(t, []byte("payload"), []string{"p00", "p01"})
 	r.pool.providers["p00"].Stop()
 
 	rep := NewReplicator(r.vm, r.pm, r.pool, nil, WithBaseDegree(2))
-	report, err := rep.Scan(t0)
+	report, err := rep.ScanContext(ctx, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +166,11 @@ func TestScanContextCancelled(t *testing.T) {
 }
 
 func TestScanIdempotentWhenHealthy(t *testing.T) {
+	ctx := context.Background()
 	r := newRig(t, 4)
 	r.writeBlob(t, []byte("ok"), []string{"p00", "p01"})
 	rep := NewReplicator(r.vm, r.pm, r.pool, nil, WithBaseDegree(2))
-	report, err := rep.Scan(t0)
+	report, err := rep.ScanContext(ctx, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +183,11 @@ func TestScanIdempotentWhenHealthy(t *testing.T) {
 }
 
 func TestScanRaisesDegreeToTarget(t *testing.T) {
+	ctx := context.Background()
 	r := newRig(t, 6)
 	blob := r.writeBlob(t, []byte("x"), []string{"p00"})
 	rep := NewReplicator(r.vm, r.pm, r.pool, nil, WithBaseDegree(3))
-	if _, err := rep.Scan(t0); err != nil {
+	if _, err := rep.ScanContext(ctx, t0); err != nil {
 		t.Fatal(err)
 	}
 	if got := liveReplicas(t, r, blob); len(got) != 3 {
@@ -193,11 +196,12 @@ func TestScanRaisesDegreeToTarget(t *testing.T) {
 }
 
 func TestScanAllReplicasLostFails(t *testing.T) {
+	ctx := context.Background()
 	r := newRig(t, 4)
 	r.writeBlob(t, []byte("gone"), []string{"p00"})
 	r.pool.providers["p00"].Stop()
 	rep := NewReplicator(r.vm, r.pm, r.pool, nil, WithBaseDegree(2))
-	report, err := rep.Scan(t0)
+	report, err := rep.ScanContext(ctx, t0)
 	if err == nil {
 		t.Fatal("want error for unrecoverable chunk")
 	}
@@ -207,6 +211,7 @@ func TestScanAllReplicasLostFails(t *testing.T) {
 }
 
 func TestHotBoostRaisesTarget(t *testing.T) {
+	ctx := context.Background()
 	r := newRig(t, 6)
 	blob := r.writeBlob(t, []byte("hot"), []string{"p00", "p01"})
 	// Make the blob hot in the introspector.
@@ -224,7 +229,7 @@ func TestHotBoostRaisesTarget(t *testing.T) {
 	if rep.TargetDegree(blob+100) != 2 {
 		t.Fatalf("cold target=%d", rep.TargetDegree(blob+100))
 	}
-	if _, err := rep.Scan(t0); err != nil {
+	if _, err := rep.ScanContext(ctx, t0); err != nil {
 		t.Fatal(err)
 	}
 	if got := liveReplicas(t, r, blob); len(got) != 3 {
@@ -312,13 +317,14 @@ func (d fakeDeleter) DeleteBlob(ctx context.Context, blob uint64) error {
 }
 
 func TestReaperRemovesAndReclaims(t *testing.T) {
+	ctx := context.Background()
 	r := newRig(t, 3)
 	blob := r.writeBlob(t, []byte("dead-data"), []string{"p00", "p01"})
 	r.in.ObserveClientEvent(instrument.Event{
 		Time: t0, Actor: instrument.ActorClient, Op: instrument.OpWrite, Blob: blob, User: "u", Bytes: 9,
 	})
 	reaper := NewReaper(fakeDeleter{r.vm, r.pool}, nil, TTLStrategy{In: r.in, TTL: time.Minute})
-	removed, err := reaper.Run(t0.Add(time.Hour))
+	removed, err := reaper.RunContext(ctx, t0.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,13 +342,14 @@ func TestReaperRemovesAndReclaims(t *testing.T) {
 		t.Fatalf("Removed()=%v", got)
 	}
 	// Second run: nothing left, including no double-delete error.
-	removed, err = reaper.Run(t0.Add(2 * time.Hour))
+	removed, err = reaper.RunContext(ctx, t0.Add(2*time.Hour))
 	if err != nil || len(removed) != 0 {
 		t.Fatalf("second run removed=%v err=%v", removed, err)
 	}
 }
 
 func TestReaperMergesStrategies(t *testing.T) {
+	ctx := context.Background()
 	r := newRig(t, 2)
 	blob := r.writeBlob(t, []byte("b"), []string{"p00"})
 	r.in.ObserveClientEvent(instrument.Event{
@@ -351,7 +358,7 @@ func TestReaperMergesStrategies(t *testing.T) {
 	// Two strategies nominating the same blob must delete it once.
 	s := TTLStrategy{In: r.in, TTL: time.Second}
 	reaper := NewReaper(fakeDeleter{r.vm, r.pool}, nil, s, s)
-	removed, err := reaper.Run(t0.Add(time.Hour))
+	removed, err := reaper.RunContext(ctx, t0.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
